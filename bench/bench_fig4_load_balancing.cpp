@@ -23,9 +23,9 @@
 #include <memory>
 
 #include "bench_common.hpp"
-#include "correlate/decision_source.hpp"
 #include "lb/sharded_simulator.hpp"
 #include "lb/simulator.hpp"
+#include "lb/strategy.hpp"
 #include "sim/sharded.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
@@ -34,6 +34,7 @@ namespace {
 
 using ftl::lb::LbConfig;
 using ftl::lb::LbResult;
+using ftl::lb::make_strategy;
 using ftl::lb::ShardedLbConfig;
 using ftl::lb::ShardedLbResult;
 
@@ -94,12 +95,6 @@ ShardedLbConfig scaled_config(std::size_t servers, double load,
   cfg.seed = g_seed;
   cfg.source = source;
   return cfg;
-}
-
-std::unique_ptr<ftl::lb::LbStrategy> make_strategy(const std::string& kind) {
-  using namespace ftl;
-  if (kind == "random") return std::make_unique<lb::RandomStrategy>();
-  return std::make_unique<lb::PairedStrategy>(correlate::make_source(kind));
 }
 
 void BM_Fig4(benchmark::State& state, const std::string& kind) {

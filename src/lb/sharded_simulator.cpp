@@ -3,127 +3,246 @@
 #include <memory>
 #include <utility>
 
-#include "correlate/decision_source.hpp"
 #include "lb/server.hpp"
+#include "lb/strategy.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
+#include "util/stats.hpp"
 
 namespace ftl::lb {
 
 namespace {
 
-/// Everything one shard produces; written only by the thread that ran the
-/// shard, read only after the pool barrier. Queue lengths and delays are
-/// integers in this model, so the shards accumulate exact integer sums (a
-/// Welford update per server per step would put a division on the hot
-/// path); the means come out of one division at merge time.
-struct ShardOutput {
+/// counts[v] = how many times value v was seen.
+using Counts = std::vector<std::uint64_t>;
+
+void tally(Counts& counts, std::size_t v) {
+  if (v >= counts.size()) counts.resize(v + 1, 0);
+  ++counts[v];
+}
+
+void add_counts(Counts& into, const Counts& from) {
+  if (from.size() > into.size()) into.resize(from.size(), 0);
+  for (std::size_t v = 0; v < from.size(); ++v) into[v] += from[v];
+}
+
+std::uint64_t total(const Counts& counts) {
+  std::uint64_t n = 0;
+  for (std::uint64_t c : counts) n += c;
+  return n;
+}
+
+/// Sum of every value seen: sum over v of v * counts[v].
+std::uint64_t value_sum(const Counts& counts) {
+  std::uint64_t sum = 0;
+  for (std::size_t v = 0; v < counts.size(); ++v) sum += v * counts[v];
+  return sum;
+}
+
+double ratio(std::uint64_t num, std::uint64_t den) {
+  return den == 0 ? 0.0 : static_cast<double>(num) / static_cast<double>(den);
+}
+
+/// Everything a run, or one shard of it, measures: exact integer tallies
+/// that merge by addition. One cache line per shard, since the pool's
+/// workers store them side by side.
+struct alignas(64) Tally {
   ShardedCounters counters;
-  unsigned long long queue_len_sum = 0;
-  unsigned long long delay_sum = 0;
-  std::vector<std::size_t> delay_counts;
-  std::size_t delay_underflow = 0;
-  std::size_t delay_overflow = 0;
+  /// delays[t][d]: measured type-t requests served d steps after arriving.
+  Counts delays[2];
+  /// queue_lengths[q]: measured server-steps that ended with q queued.
+  Counts queue_lengths;
+
+  Tally& operator+=(const Tally& o) {
+    counters += o.counters;
+    add_counts(delays[0], o.delays[0]);
+    add_counts(delays[1], o.delays[1]);
+    add_counts(queue_lengths, o.queue_lengths);
+    return *this;
+  }
+
+  [[nodiscard]] Counts all_delays() const {
+    Counts all = delays[0];
+    add_counts(all, delays[1]);
+    return all;
+  }
 };
 
-/// One shard's full step loop. Mirrors run_lb_sim's structure *and* RNG
-/// consumption order exactly — master split(1)/(2) for arrivals/strategy,
-/// one arrival bernoulli per balancer per step, then per pair one
-/// distinct_pair plus one source decision (or per balancer one uniform_int
-/// for "random") — so a 1-shard run is bit-identical to the single-threaded
-/// reference engine. sharded_sim_test relies on this.
-void run_shard(const ShardedLbConfig& cfg, std::size_t shard,
-               correlate::PairedDecisionSource* source, ShardOutput& out) {
-  const sim::ShardRange balancers =
-      sim::shard_range(cfg.num_balancers, cfg.num_shards, shard);
-  const sim::ShardRange server_slice =
-      sim::shard_range(cfg.num_servers, cfg.num_shards, shard);
-  const std::size_t n_b = balancers.size();
-  const std::size_t n_s = server_slice.size();
-
-  util::Rng rng(sim::shard_seed(cfg.seed, shard));
+/// The C/E step loop; run_lb_sim is its one-shard case. Arrivals draw from
+/// the seed's split(1), the strategy from split(2) and the burst phase from
+/// split(3), balancer by balancer, so a run with a freshly built strategy
+/// is deterministic in (cfg, seed). The tallies live in locals until the
+/// end: written from the hot loop into the caller's adjacent per-shard
+/// slots, they would make the pool's workers contend for cache lines.
+Tally run_shard(const LbConfig& cfg, std::size_t num_balancers,
+                std::size_t num_servers, std::uint64_t seed,
+                LbStrategy& strategy) {
+  util::Rng rng(seed);
   util::Rng arrivals_rng = rng.split(1);
   util::Rng strategy_rng = rng.split(2);
+  util::Rng burst_rng = rng.split(3);
 
-  ServerArray servers(n_s);
-  std::vector<TaskType> types(n_b);
-  std::vector<std::uint32_t> targets(n_b);
-  util::Histogram delay_hist(0.0, cfg.delay_hist_max, cfg.delay_hist_bins);
+  ServerArray servers(num_servers);
+  StepArrivals in;
+  in.batch = cfg.batch_size;
+  in.active.assign(num_balancers, 1);
+  in.types.resize(num_balancers * cfg.batch_size);
+  std::vector<std::uint32_t> targets(in.types.size());
+  bool burst_high = true;
 
-  const bool paired = cfg.source != "random";
+  long long arrived = 0;
+  Rounds rounds;
+  Counts delays[2];
+  Counts queue_lengths;
+
   const long total_steps = cfg.warmup_steps + cfg.measure_steps;
   for (long step = 0; step < total_steps; ++step) {
     const bool measuring = step >= cfg.warmup_steps;
 
-    // 1. Arrivals: one type draw per balancer (the paper's deterministic
-    // one-request-per-step model).
-    for (auto& t : types) {
-      t = arrivals_rng.bernoulli(cfg.p_colocate) ? TaskType::kC : TaskType::kE;
-    }
-
-    // 2. Routing: all decisions are made before any request lands, as in
-    // the reference engine (simultaneous, communication-free balancers).
-    if (paired) {
-      for (std::size_t p = 0; p + 1 < n_b; p += 2) {
-        const auto [s0, s1] = strategy_rng.distinct_pair(n_s);
-        const int x = types[p] == TaskType::kC ? 1 : 0;
-        const int y = types[p + 1] == TaskType::kC ? 1 : 0;
-        const auto [a, b] = source->decide(x, y, strategy_rng);
-        // Flipped-CHSH win condition: a XOR b == NOT(x AND y).
-        const bool won = ((a ^ b) != 0) == !(x == 1 && y == 1);
-        if (measuring) ++(won ? out.counters.rounds_won
-                              : out.counters.rounds_lost);
-        targets[p] = static_cast<std::uint32_t>(a == 0 ? s0 : s1);
-        targets[p + 1] = static_cast<std::uint32_t>(b == 0 ? s0 : s1);
+    // 1. Arrivals: each balancer draws its batch of request types. Under
+    // the burst model a balancer may be inactive this step.
+    double activity = 1.0;
+    if (cfg.burst) {
+      if (burst_rng.bernoulli(1.0 / cfg.burst->mean_dwell_steps)) {
+        burst_high = !burst_high;
       }
-    } else {
-      for (std::size_t b = 0; b < n_b; ++b) {
-        targets[b] = static_cast<std::uint32_t>(strategy_rng.uniform_int(n_s));
+      activity = burst_high ? cfg.burst->high_activity
+                            : cfg.burst->low_activity;
+    }
+    for (std::size_t b = 0; b < num_balancers; ++b) {
+      const bool active = activity >= 1.0 || arrivals_rng.bernoulli(activity);
+      in.active[b] = active ? 1 : 0;
+      if (!active) continue;
+      for (std::size_t i = b * in.batch; i < (b + 1) * in.batch; ++i) {
+        in.types[i] = arrivals_rng.bernoulli(cfg.p_colocate) ? TaskType::kC
+                                                             : TaskType::kE;
       }
     }
 
-    for (std::size_t b = 0; b < n_b; ++b) {
-      servers.enqueue(targets[b], types[b], static_cast<std::uint32_t>(b),
+    // 2. Routing: every decision is made before any request lands
+    //    (simultaneous, communication-free balancers).
+    const Rounds played = strategy.assign(in, targets, servers, strategy_rng);
+    long long requests = 0;
+    in.for_each_request([&](std::size_t b, std::size_t i) {
+      FTL_ASSERT(targets[i] < num_servers);
+      servers.enqueue(targets[i], in.types[i], static_cast<std::uint32_t>(b),
                       static_cast<std::int32_t>(step));
-      if (measuring) ++out.counters.arrived;
+      ++requests;
+    });
+    if (measuring) {
+      arrived += requests;
+      rounds.won += played.won;
+      rounds.lost += played.lost;
     }
 
     // 3. Service.
     Request served[2];
-    for (std::size_t s = 0; s < n_s; ++s) {
+    for (std::size_t s = 0; s < num_servers; ++s) {
       const std::size_t n = servers.step(s, cfg.policy, served);
-      if (measuring) {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (served[i].arrival_step < cfg.warmup_steps) continue;
-          ++out.counters.served;
-          const long d = step - served[i].arrival_step;
-          out.delay_sum += static_cast<unsigned long long>(d);
-          delay_hist.add(static_cast<double>(d));
-        }
-        out.queue_len_sum += servers.queue_length(s);
+      if (!measuring) continue;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (served[i].arrival_step < cfg.warmup_steps) continue;
+        tally(delays[static_cast<std::size_t>(served[i].type)],
+              static_cast<std::size_t>(step - served[i].arrival_step));
       }
+      tally(queue_lengths, servers.queue_length(s));
     }
   }
 
-  for (std::size_t s = 0; s < n_s; ++s) {
+  Tally out;
+  for (std::size_t s = 0; s < num_servers; ++s) {
     servers.for_each_queued(s, [&](TaskType, const ServerArray::Slot& slot) {
       if (slot.arrival_step >= cfg.warmup_steps) ++out.counters.still_queued;
     });
   }
-  out.delay_counts = delay_hist.counts();
-  out.delay_underflow = delay_hist.underflow();
-  out.delay_overflow = delay_hist.overflow();
+  out.counters.arrived = arrived;
+  out.counters.served =
+      static_cast<long long>(total(delays[0]) + total(delays[1]));
+  out.counters.rounds_won = rounds.won;
+  out.counters.rounds_lost = rounds.lost;
+  out.delays[0] = std::move(delays[0]);
+  out.delays[1] = std::move(delays[1]);
+  out.queue_lengths = std::move(queue_lengths);
+  return out;
+}
+
+void check_config(const LbConfig& cfg) {
+  FTL_ASSERT(cfg.num_balancers >= 1 && cfg.num_servers >= 2);
+  FTL_ASSERT(cfg.p_colocate >= 0.0 && cfg.p_colocate <= 1.0);
+  FTL_ASSERT(cfg.batch_size >= 1);
+  FTL_ASSERT(cfg.warmup_steps >= 0 && cfg.measure_steps > 0);
+}
+
+/// The means and the exact p95 of a (merged) tally: one division each.
+LbResult summarize(const Tally& t, const LbConfig& cfg) {
+  const Counts all = t.all_delays();
+  const auto server_steps = static_cast<std::uint64_t>(cfg.measure_steps) *
+                            static_cast<std::uint64_t>(cfg.num_servers);
+  LbResult out;
+  out.mean_queue_length = ratio(value_sum(t.queue_lengths), server_steps);
+  out.mean_delay = ratio(value_sum(all), total(all));
+  out.p95_delay =
+      total(all) == 0 ? 0.0 : util::percentile_of_counts(all, 0.95);
+  out.mean_delay_c = ratio(value_sum(t.delays[0]), total(t.delays[0]));
+  out.mean_delay_e = ratio(value_sum(t.delays[1]), total(t.delays[1]));
+  out.throughput = ratio(total(all), server_steps);
+  out.arrived = t.counters.arrived;
+  out.served = t.counters.served;
+  out.still_queued = t.counters.still_queued;
+  return out;
+}
+
+/// run_lb_sim's metric families, written once per run.
+void export_lb_metrics(const LbStrategy& strategy, const Tally& t,
+                       const LbConfig& cfg) {
+  obs::Registry& reg = obs::registry();
+  const obs::Labels label{{"strategy", strategy.name()}};
+  reg.counter("lb.requests.arrived", label)
+      .inc(static_cast<std::uint64_t>(t.counters.arrived));
+  reg.counter("lb.requests.served", label)
+      .inc(static_cast<std::uint64_t>(t.counters.served));
+  reg.counter("lb.steps", label)
+      .inc(static_cast<std::uint64_t>(cfg.measure_steps));
+  obs::Histogram& depth =
+      reg.histogram("lb.queue_depth", 0.0, 256.0, 64, label);
+  for (std::size_t q = 0; q < t.queue_lengths.size(); ++q) {
+    depth.observe(static_cast<double>(q), t.queue_lengths[q]);
+  }
+  // Counts grow only to fit a tallied value, so the last one is the
+  // deepest queue seen (every measured step tallies every server).
+  reg.gauge("lb.queue_depth.high_water", label)
+      .update_max(static_cast<double>(t.queue_lengths.size() - 1));
+  obs::Histogram& delay =
+      reg.histogram("lb.delay_steps", 0.0, 512.0, 64, label);
+  const Counts all = t.all_delays();
+  for (std::size_t d = 0; d < all.size(); ++d) {
+    delay.observe(static_cast<double>(d), all[d]);
+  }
+  if (const correlate::PairedDecisionSource* src = strategy.source()) {
+    const obs::Labels source_label{{"source", src->name()}};
+    reg.counter("lb.chsh.rounds_won", source_label)
+        .inc(static_cast<std::uint64_t>(t.counters.rounds_won));
+    reg.counter("lb.chsh.rounds_lost", source_label)
+        .inc(static_cast<std::uint64_t>(t.counters.rounds_lost));
+  }
 }
 
 }  // namespace
 
+LbResult run_lb_sim(const LbConfig& cfg, LbStrategy& strategy) {
+  check_config(cfg);
+  const obs::ScopedSpan span("lb.run_lb_sim", "lb");
+  const Tally t =
+      run_shard(cfg, cfg.num_balancers, cfg.num_servers, cfg.seed, strategy);
+  export_lb_metrics(strategy, t, cfg);
+  return summarize(t, cfg);
+}
+
 ShardedLbResult run_sharded_lb_sim(const ShardedLbConfig& cfg,
                                    sim::ShardPool* pool) {
+  check_config(cfg);
   FTL_ASSERT(cfg.num_shards >= 1);
-  FTL_ASSERT(cfg.p_colocate >= 0.0 && cfg.p_colocate <= 1.0);
-  FTL_ASSERT(cfg.warmup_steps >= 0 && cfg.measure_steps > 0);
-  FTL_ASSERT(cfg.delay_hist_bins >= 1 && cfg.delay_hist_max > 0.0);
   const bool paired = cfg.source != "random";
   for (std::size_t shard = 0; shard < cfg.num_shards; ++shard) {
     const auto b = sim::shard_range(cfg.num_balancers, cfg.num_shards, shard);
@@ -136,19 +255,18 @@ ShardedLbResult run_sharded_lb_sim(const ShardedLbConfig& cfg,
 
   const obs::ScopedSpan span("lb.run_sharded_lb_sim", "lb");
 
-  // Per-shard decision sources, created up front in shard order (the
+  // Per-shard strategies, created up front in shard order (the
   // density-matrix work in ChshSource happens once per shard, not per
   // round — the rounds sample its precomputed outcome table).
-  std::vector<std::unique_ptr<correlate::PairedDecisionSource>> sources(
-      cfg.num_shards);
-  if (paired) {
-    for (auto& s : sources) s = correlate::make_source(cfg.source,
-                                                       cfg.visibility);
-  }
+  std::vector<std::unique_ptr<LbStrategy>> strategies(cfg.num_shards);
+  for (auto& s : strategies) s = make_strategy(cfg.source, cfg.visibility);
 
-  std::vector<ShardOutput> outputs(cfg.num_shards);
+  std::vector<Tally> tallies(cfg.num_shards);
   const auto job = [&](std::size_t shard) {
-    run_shard(cfg, shard, sources[shard].get(), outputs[shard]);
+    tallies[shard] = run_shard(
+        cfg, sim::shard_range(cfg.num_balancers, cfg.num_shards, shard).size(),
+        sim::shard_range(cfg.num_servers, cfg.num_shards, shard).size(),
+        sim::shard_seed(cfg.seed, shard), *strategies[shard]);
   };
   if (pool != nullptr) {
     pool->parallel_shards(cfg.num_shards, job);
@@ -157,47 +275,22 @@ ShardedLbResult run_sharded_lb_sim(const ShardedLbConfig& cfg,
     inline_pool.parallel_shards(cfg.num_shards, job);
   }
 
-  // Shard-ordered merge: integer counters and sums exactly, histogram bins
-  // pairwise. All-integer accumulation means the totals — and the means
-  // derived from them — are bit-identical no matter how the pool scheduled
-  // the shards.
+  // Shard-ordered merge of integer tallies: the totals, and everything
+  // derived from them, do not depend on how the pool scheduled the shards.
   ShardedLbResult out;
   out.per_shard.reserve(cfg.num_shards);
-  unsigned long long queue_len_sum = 0;
-  unsigned long long delay_sum = 0;
-  std::vector<std::size_t> delay_counts(cfg.delay_hist_bins, 0);
-  std::size_t delay_underflow = 0;
-  std::size_t delay_overflow = 0;
-  for (const ShardOutput& o : outputs) {
-    out.per_shard.push_back(o.counters);
-    out.counters += o.counters;
-    queue_len_sum += o.queue_len_sum;
-    delay_sum += o.delay_sum;
-    for (std::size_t i = 0; i < delay_counts.size(); ++i) {
-      delay_counts[i] += o.delay_counts[i];
-    }
-    delay_underflow += o.delay_underflow;
-    delay_overflow += o.delay_overflow;
+  Tally merged;
+  for (const Tally& t : tallies) {
+    out.per_shard.push_back(t.counters);
+    merged += t;
   }
-  const double queue_samples = static_cast<double>(cfg.measure_steps) *
-                               static_cast<double>(cfg.num_servers);
-  out.mean_queue_length = static_cast<double>(queue_len_sum) / queue_samples;
-  out.mean_delay = out.counters.served == 0
-                       ? 0.0
-                       : static_cast<double>(delay_sum) /
-                             static_cast<double>(out.counters.served);
-  out.delay_hist =
-      util::Histogram::from_counts(0.0, cfg.delay_hist_max,
-                                   std::move(delay_counts), delay_underflow,
-                                   delay_overflow);
-  out.p95_delay =
-      out.delay_hist.total() == 0 ? 0.0 : out.delay_hist.quantile(0.95);
-  out.throughput = static_cast<double>(out.counters.served) /
-                   (static_cast<double>(cfg.measure_steps) *
-                    static_cast<double>(cfg.num_servers));
+  out.counters = merged.counters;
+  const LbResult summary = summarize(merged, cfg);
+  out.mean_queue_length = summary.mean_queue_length;
+  out.mean_delay = summary.mean_delay;
+  out.p95_delay = summary.p95_delay;
+  out.throughput = summary.throughput;
 
-  // Merge into the lock-free registry (one labeled inc per total, off the
-  // hot path).
   const obs::Labels label{{"source", cfg.source}};
   obs::Registry& reg = obs::registry();
   reg.counter("lb.sharded.requests.arrived", label)

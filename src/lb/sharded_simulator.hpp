@@ -4,52 +4,39 @@
 // Sharding model. The cluster is cut into `num_shards` sub-clusters, each
 // owning a contiguous slice of balancers and servers (sim::shard_range) and
 // running the full synchronous step loop on its own state: its own
-// lb::ServerArray, its own decision source, and its own RNG streams seeded
-// with sim::shard_seed(master, shard). Shards never read each other's
-// state, so the run is deterministic in (seed, num_shards) no matter how
-// the pool schedules them. Physically this matches the paper's setting:
-// Fig-4 curves depend on the load N/M, not on N, and balancer pairs never
-// coordinate across pairs — so a sharded cluster at the same per-shard load
-// is statistically the same system (sharded_sim_test enforces this against
-// run_lb_sim, plus an *exact* check: with num_shards == 1 the engine
-// consumes the identical RNG stream as run_lb_sim and reproduces its
-// deterministic counters bit for bit).
+// lb::ServerArray, its own strategy (and decision source), its own burst
+// phase, and its own RNG streams seeded with sim::shard_seed(master, shard).
+// Shards never read each other's state, so the run is deterministic in
+// (seed, num_shards) no matter how the pool schedules them. Physically
+// this matches the paper's setting: Fig-4 curves depend on the load N/M,
+// not on N, and balancer pairs never coordinate across pairs — so a sharded
+// cluster at the same per-shard load is statistically the same system
+// (sharded_sim_test checks this against run_lb_sim). With num_shards == 1
+// the run is run_lb_sim itself: shard 0 keeps the master seed, and both
+// entry points run the one step loop in sharded_simulator.cpp.
 //
-// Accounting. Deterministic outputs (requests arrived/served/still queued,
-// CHSH rounds won/lost) are integers summed in shard order — bit-identical
-// across runs and thread counts. Queue lengths and delays are integers in
-// this model too, so the distributional outputs (mean queue length, mean
-// delay, delay histogram) come from exact per-shard integer sums and
-// fixed-bin counts merged after the barrier — also bit-identical, with one
-// float division at the end. (run_lb_sim computes the same means through a
-// Welford accumulator, so the reference comparison agrees to rounding, not
-// bit for bit.) The merged totals also land in the lock-free obs registry
-// under lb.sharded.*.
+// Accounting. Every output is an integer tally summed in shard order —
+// requests arrived/served/still queued, CHSH rounds won/lost, and counts
+// per queue length and per delay — so all of it, including the means
+// (one division at the end) and the exact p95, is bit-identical across
+// runs and thread counts. The merged totals land in the lock-free obs
+// registry under lb.sharded.* once per run.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "lb/types.hpp"
+#include "lb/simulator.hpp"
 #include "sim/sharded.hpp"
-#include "util/histogram.hpp"
 
 namespace ftl::lb {
 
-struct ShardedLbConfig {
-  /// Totals across all shards; each shard gets a contiguous slice. For the
-  /// paired sources every shard needs an even balancer count and >= 2
-  /// servers (keep num_balancers and num_servers divisible by num_shards
-  /// for equal per-shard load).
-  std::size_t num_balancers = 100;
-  std::size_t num_servers = 50;
-  /// P(request is type C).
-  double p_colocate = 0.5;
-  ServicePolicy policy = ServicePolicy::kPaperCFirst;
-  long warmup_steps = 1000;
-  long measure_steps = 4000;
-  std::uint64_t seed = 1;
+/// The cluster fields are totals across all shards; each shard gets a
+/// contiguous slice. Every shard needs >= 1 balancer and >= 2 servers, and
+/// an even balancer count for the paired sources (keep num_balancers and
+/// num_servers divisible by num_shards for equal per-shard load).
+struct ShardedLbConfig : LbConfig {
   std::size_t num_shards = 1;
   /// "random" routes every request to a uniform server (the classical
   /// baseline); any other value is a correlate::make_source kind
@@ -57,15 +44,6 @@ struct ShardedLbConfig {
   /// played by balancer pairs over shared candidate servers.
   std::string source = "random";
   double visibility = 1.0;
-  /// Delay histogram range [0, delay_hist_max), used for the p95 estimate;
-  /// larger delays clamp into the top bin.
-  double delay_hist_max = 512.0;
-  std::size_t delay_hist_bins = 256;
-
-  [[nodiscard]] double load() const {
-    return static_cast<double>(num_balancers) /
-           static_cast<double>(num_servers);
-  }
 };
 
 /// All-integer outputs: bit-identical across repeated runs with the same
@@ -97,11 +75,10 @@ struct ShardedLbResult {
   /// Distributional outputs, merged in shard order.
   double mean_queue_length = 0.0;
   double mean_delay = 0.0;
-  /// Approximate (binned) 95th-percentile delay.
+  /// Exact: util::percentile's interpolation over every measured delay.
   double p95_delay = 0.0;
   /// Served requests per server per step.
   double throughput = 0.0;
-  util::Histogram delay_hist{0.0, 1.0, 1};
 };
 
 /// Runs the sharded simulation on `pool` (pass nullptr to run on a private

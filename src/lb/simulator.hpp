@@ -6,6 +6,11 @@
 // the time-averaged queue length as a function of load N/M; we additionally
 // record queueing delay (the caption's metric), per-type delays, throughput,
 // and a conservation check.
+//
+// run_lb_sim is the one-shard case of run_sharded_lb_sim: both entry points
+// run the same step loop (sharded_simulator.cpp). Queue lengths and delays
+// are integers, so every output comes from exact integer sums and
+// per-delay counts; p95_delay is the exact interpolated percentile.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +63,7 @@ struct LbResult {
   /// Mean queueing delay (steps from arrival to service) of requests that
   /// were served during measurement (Fig 4 caption's metric).
   double mean_delay = 0.0;
+  /// Exact: util::percentile's interpolation over every measured delay.
   double p95_delay = 0.0;
   double mean_delay_c = 0.0;
   double mean_delay_e = 0.0;
@@ -70,6 +76,9 @@ struct LbResult {
   long long still_queued = 0;
 };
 
+/// Runs the whole cluster as one shard with seed `cfg.seed`. Exports
+/// lb.*{strategy} (and lb.chsh.*{source} for paired strategies) once, after
+/// the run.
 [[nodiscard]] LbResult run_lb_sim(const LbConfig& cfg, LbStrategy& strategy);
 
 }  // namespace ftl::lb

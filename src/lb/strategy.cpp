@@ -8,104 +8,88 @@ namespace ftl::lb {
 
 namespace {
 
-void size_output(const std::vector<std::vector<TaskType>>& types,
-                 std::vector<std::vector<std::size_t>>& out) {
-  out.resize(types.size());
-  for (std::size_t b = 0; b < types.size(); ++b) out[b].resize(types[b].size());
+std::uint32_t server_index(std::size_t s) {
+  return static_cast<std::uint32_t>(s);
 }
 
 }  // namespace
 
-void RandomStrategy::assign(const std::vector<std::vector<TaskType>>& types,
-                            std::vector<std::vector<std::size_t>>& out,
-                            const ClusterView& view, util::Rng& rng) {
-  size_output(types, out);
-  for (std::size_t b = 0; b < types.size(); ++b) {
-    for (std::size_t k = 0; k < types[b].size(); ++k) {
-      out[b][k] = rng.uniform_int(view.num_servers);
-    }
-  }
+Rounds RandomStrategy::assign(const StepArrivals& in,
+                              std::span<std::uint32_t> targets,
+                              const ServerArray& servers, util::Rng& rng) {
+  in.for_each_request([&](std::size_t, std::size_t i) {
+    targets[i] = server_index(rng.uniform_int(servers.size()));
+  });
+  return {};
 }
 
-void RoundRobinStrategy::assign(
-    const std::vector<std::vector<TaskType>>& types,
-    std::vector<std::vector<std::size_t>>& out, const ClusterView& view,
-    util::Rng& rng) {
-  size_output(types, out);
-  if (next_.size() != types.size()) {
-    next_.resize(types.size());
-    for (auto& n : next_) n = rng.uniform_int(view.num_servers);
+Rounds RoundRobinStrategy::assign(const StepArrivals& in,
+                                  std::span<std::uint32_t> targets,
+                                  const ServerArray& servers, util::Rng& rng) {
+  if (next_.size() != in.num_balancers()) {
+    next_.resize(in.num_balancers());
+    for (auto& n : next_) n = rng.uniform_int(servers.size());
   }
-  for (std::size_t b = 0; b < types.size(); ++b) {
-    for (std::size_t k = 0; k < types[b].size(); ++k) {
-      out[b][k] = next_[b];
-      next_[b] = (next_[b] + 1) % view.num_servers;
-    }
-  }
+  in.for_each_request([&](std::size_t b, std::size_t i) {
+    targets[i] = server_index(next_[b]);
+    next_[b] = (next_[b] + 1) % servers.size();
+  });
+  return {};
 }
 
-void PowerOfTwoStrategy::assign(
-    const std::vector<std::vector<TaskType>>& types,
-    std::vector<std::vector<std::size_t>>& out, const ClusterView& view,
-    util::Rng& rng) {
-  size_output(types, out);
-  FTL_ASSERT_MSG(view.queue_lengths != nullptr,
-                 "power-of-two needs queue visibility");
-  const auto& q = *view.queue_lengths;
-  for (std::size_t b = 0; b < types.size(); ++b) {
-    for (std::size_t k = 0; k < types[b].size(); ++k) {
-      const auto [s1, s2] = rng.distinct_pair(view.num_servers);
-      out[b][k] = q[s1] <= q[s2] ? s1 : s2;
-    }
-  }
+Rounds PowerOfTwoStrategy::assign(const StepArrivals& in,
+                                  std::span<std::uint32_t> targets,
+                                  const ServerArray& servers, util::Rng& rng) {
+  in.for_each_request([&](std::size_t, std::size_t i) {
+    const auto [s1, s2] = rng.distinct_pair(servers.size());
+    targets[i] = server_index(
+        servers.queue_length(s1) <= servers.queue_length(s2) ? s1 : s2);
+  });
+  return {};
 }
 
 PairedStrategy::PairedStrategy(
     std::unique_ptr<correlate::PairedDecisionSource> src)
     : source_(std::move(src)) {
   FTL_ASSERT(source_ != nullptr);
-  const obs::Labels label{{"source", source_->name()}};
-  rounds_won_ = &obs::registry().counter("lb.chsh.rounds_won", label);
-  rounds_lost_ = &obs::registry().counter("lb.chsh.rounds_lost", label);
 }
 
 std::string PairedStrategy::name() const {
   return "paired(" + source_->name() + ")";
 }
 
-void PairedStrategy::assign(const std::vector<std::vector<TaskType>>& types,
-                            std::vector<std::vector<std::size_t>>& out,
-                            const ClusterView& view, util::Rng& rng) {
-  size_output(types, out);
-  FTL_ASSERT_MSG(types.size() % 2 == 0,
+Rounds PairedStrategy::assign(const StepArrivals& in,
+                              std::span<std::uint32_t> targets,
+                              const ServerArray& servers, util::Rng& rng) {
+  FTL_ASSERT_MSG(in.num_balancers() % 2 == 0,
                  "paired strategy needs an even number of balancers");
-  FTL_ASSERT(view.num_servers >= 2);
-  for (std::size_t p = 0; p + 1 < types.size(); p += 2) {
-    FTL_ASSERT_MSG(types[p].size() <= 1 && types[p + 1].size() <= 1,
-                   "paired strategy is defined for batch size 1");
-    const bool left = !types[p].empty();
-    const bool right = !types[p + 1].empty();
+  FTL_ASSERT_MSG(in.batch == 1, "paired strategy is defined for batch size 1");
+  FTL_ASSERT(servers.size() >= 2);
+  Rounds rounds;
+  for (std::size_t p = 0; p + 1 < in.num_balancers(); p += 2) {
+    const bool left = in.active[p] != 0;
+    const bool right = in.active[p + 1] != 0;
     if (!left && !right) continue;  // neither balancer active (burst lull)
     // Shared randomness: both balancers of the pair pre-agree (e.g. via a
     // shared PRG seed) on this round's two candidate servers.
-    const auto [s0, s1] = rng.distinct_pair(view.num_servers);
+    const auto [s0, s1] = rng.distinct_pair(servers.size());
     if (left && right) {
-      const int x = types[p][0] == TaskType::kC ? 1 : 0;
-      const int y = types[p + 1][0] == TaskType::kC ? 1 : 0;
+      const int x = in.types[p] == TaskType::kC ? 1 : 0;
+      const int y = in.types[p + 1] == TaskType::kC ? 1 : 0;
       const auto [a, b] = source_->decide(x, y, rng);
       // Flipped-CHSH win condition: a XOR b == NOT(x AND y) — both-C pairs
       // co-locate, every other pair separates.
       const bool won = ((a ^ b) != 0) == !(x == 1 && y == 1);
-      (won ? *rounds_won_ : *rounds_lost_).inc();
-      out[p][0] = a == 0 ? s0 : s1;
-      out[p + 1][0] = b == 0 ? s0 : s1;
+      ++(won ? rounds.won : rounds.lost);
+      targets[p] = server_index(a == 0 ? s0 : s1);
+      targets[p + 1] = server_index(b == 0 ? s0 : s1);
     } else {
       // A lone active balancer sees only its own side of the correlation —
       // a uniform marginal — so it picks a candidate with a fair coin.
-      const std::size_t idx = left ? p : p + 1;
-      out[idx][0] = rng.bernoulli(0.5) ? s1 : s0;
+      targets[left ? p : p + 1] = server_index(rng.bernoulli(0.5) ? s1 : s0);
     }
   }
+  return rounds;
 }
 
 DedicatedServersStrategy::DedicatedServersStrategy(double c_fraction)
@@ -117,40 +101,46 @@ std::string DedicatedServersStrategy::name() const {
   return "dedicated(f=" + std::to_string(c_fraction_) + ")";
 }
 
-void DedicatedServersStrategy::assign(
-    const std::vector<std::vector<TaskType>>& types,
-    std::vector<std::vector<std::size_t>>& out, const ClusterView& view,
-    util::Rng& rng) {
-  size_output(types, out);
+Rounds DedicatedServersStrategy::assign(const StepArrivals& in,
+                                        std::span<std::uint32_t> targets,
+                                        const ServerArray& servers,
+                                        util::Rng& rng) {
   // Servers [0, n_c) take C tasks, [n_c, M) take E tasks.
+  const std::size_t m = servers.size();
   const auto n_c = std::max<std::size_t>(
-      1, static_cast<std::size_t>(c_fraction_ *
-                                  static_cast<double>(view.num_servers)));
-  FTL_ASSERT(n_c < view.num_servers);
-  for (std::size_t b = 0; b < types.size(); ++b) {
-    for (std::size_t k = 0; k < types[b].size(); ++k) {
-      if (types[b][k] == TaskType::kC) {
-        out[b][k] = rng.uniform_int(n_c);
-      } else {
-        out[b][k] = n_c + rng.uniform_int(view.num_servers - n_c);
-      }
-    }
-  }
+      1, static_cast<std::size_t>(c_fraction_ * static_cast<double>(m)));
+  FTL_ASSERT(n_c < m);
+  in.for_each_request([&](std::size_t, std::size_t i) {
+    targets[i] = server_index(in.types[i] == TaskType::kC
+                                  ? rng.uniform_int(n_c)
+                                  : n_c + rng.uniform_int(m - n_c));
+  });
+  return {};
 }
 
-void LocalBatchingStrategy::assign(
-    const std::vector<std::vector<TaskType>>& types,
-    std::vector<std::vector<std::size_t>>& out, const ClusterView& view,
-    util::Rng& rng) {
-  size_output(types, out);
-  for (std::size_t b = 0; b < types.size(); ++b) {
-    const std::size_t c_target = rng.uniform_int(view.num_servers);
-    for (std::size_t k = 0; k < types[b].size(); ++k) {
-      out[b][k] = types[b][k] == TaskType::kC
-                      ? c_target
-                      : rng.uniform_int(view.num_servers);
+Rounds LocalBatchingStrategy::assign(const StepArrivals& in,
+                                     std::span<std::uint32_t> targets,
+                                     const ServerArray& servers,
+                                     util::Rng& rng) {
+  for (std::size_t b = 0; b < in.num_balancers(); ++b) {
+    // Drawn for every balancer, idle or not: the seed-42 outputs pinned by
+    // lb_golden_test depend on this draw order.
+    const std::size_t c_target = rng.uniform_int(servers.size());
+    if (in.active[b] == 0) continue;
+    for (std::size_t i = b * in.batch; i < (b + 1) * in.batch; ++i) {
+      targets[i] = server_index(in.types[i] == TaskType::kC
+                                    ? c_target
+                                    : rng.uniform_int(servers.size()));
     }
   }
+  return {};
+}
+
+std::unique_ptr<LbStrategy> make_strategy(const std::string& source,
+                                          double visibility) {
+  if (source == "random") return std::make_unique<RandomStrategy>();
+  return std::make_unique<PairedStrategy>(
+      correlate::make_source(source, visibility));
 }
 
 }  // namespace ftl::lb

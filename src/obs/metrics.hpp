@@ -130,7 +130,8 @@ class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins);
 
-  void observe(double x) noexcept;
+  /// Records `n` samples of value `x` (one atomic add, not n).
+  void observe(double x, std::uint64_t n = 1) noexcept;
 
   [[nodiscard]] double lo() const noexcept { return lo_; }
   [[nodiscard]] double hi() const noexcept { return hi_; }
@@ -216,7 +217,7 @@ struct Gauge {
 struct Histogram {
   Histogram() = default;
   Histogram(double, double, std::size_t) {}
-  void observe(double) const noexcept {}
+  void observe(double, std::uint64_t = 1) const noexcept {}
   [[nodiscard]] double lo() const noexcept { return 0.0; }
   [[nodiscard]] double hi() const noexcept { return 1.0; }
   [[nodiscard]] std::size_t bins() const noexcept { return 1; }

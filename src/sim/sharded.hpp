@@ -44,7 +44,7 @@ struct ShardRange {
 /// Deterministic per-shard seed stream, decorrelated across shard indices
 /// with the same splitmix64 mixing proptest uses for per-case seeds. Shard 0
 /// keeps the master seed unchanged so a 1-shard run consumes exactly the
-/// stream a non-sharded reference engine would.
+/// stream of the unsharded run with the same seed.
 [[nodiscard]] inline std::uint64_t shard_seed(std::uint64_t master,
                                               std::size_t shard) {
   if (shard == 0) return master;

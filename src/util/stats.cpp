@@ -51,15 +51,37 @@ void Accumulator::merge(const Accumulator& other) {
   n_ += other.n_;
 }
 
-double percentile(std::vector<double> xs, double q) {
-  FTL_ASSERT(!xs.empty());
+namespace {
+
+/// The percentile interpolation over a sorted sample of size n, whose r-th
+/// smallest element is at(r).
+template <typename At>
+double interpolate(std::size_t n, double q, At&& at) {
+  FTL_ASSERT(n > 0);
   FTL_ASSERT(q >= 0.0 && q <= 1.0);
-  std::sort(xs.begin(), xs.end());
-  const double pos = q * static_cast<double>(xs.size() - 1);
+  const double pos = q * static_cast<double>(n - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  const std::size_t hi = std::min(lo + 1, n - 1);
   const double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+  return at(lo) * (1.0 - frac) + at(hi) * frac;
+}
+
+}  // namespace
+
+double percentile(std::vector<double> xs, double q) {
+  std::sort(xs.begin(), xs.end());
+  return interpolate(xs.size(), q, [&](std::size_t r) { return xs[r]; });
+}
+
+double percentile_of_counts(const std::vector<std::uint64_t>& counts,
+                            double q) {
+  std::size_t n = 0;
+  for (std::uint64_t c : counts) n += c;
+  return interpolate(n, q, [&](std::size_t rank) {
+    std::size_t v = 0;
+    for (std::size_t seen = counts[0]; seen <= rank; seen += counts[v]) ++v;
+    return static_cast<double>(v);
+  });
 }
 
 double mean_of(const std::vector<double>& xs) {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace ftl::util {
@@ -37,6 +38,12 @@ class Accumulator {
 
 /// Linearly-interpolated percentile of a sample (q in [0,1]). Sorts a copy.
 [[nodiscard]] double percentile(std::vector<double> xs, double q);
+
+/// percentile() of the sample holding counts[v] copies of each integer v,
+/// without materialising it. Same interpolation, so the result is
+/// bit-identical to percentile() on the expanded sample.
+[[nodiscard]] double percentile_of_counts(
+    const std::vector<std::uint64_t>& counts, double q);
 
 /// Sample mean of a vector (0 for empty input).
 [[nodiscard]] double mean_of(const std::vector<double>& xs);

@@ -64,6 +64,24 @@ TEST(ObsHistogram, MatchesUtilHistogramBinning) {
   EXPECT_DOUBLE_EQ(h.snapshot().quantile(0.5), ref.quantile(0.5));
 }
 
+TEST(ObsHistogram, WeightedObserveEqualsRepeatedObserve) {
+  Histogram weighted(0.0, 10.0, 5);
+  Histogram repeated(0.0, 10.0, 5);
+  const double samples[] = {-1.0, 0.0, 2.0, 5.5, 10.0, 123.0};
+  std::uint64_t n = 0;
+  for (double x : samples) {
+    weighted.observe(x, ++n);
+    for (std::uint64_t i = 0; i < n; ++i) repeated.observe(x);
+  }
+  weighted.observe(3.0, 0);  // a zero weight records nothing
+  const auto w = weighted.sample();
+  const auto r = repeated.sample();
+  EXPECT_EQ(w.counts, r.counts);
+  EXPECT_EQ(w.underflow, r.underflow);
+  EXPECT_EQ(w.overflow, r.overflow);
+  EXPECT_EQ(w.total, 21u);
+}
+
 TEST(ObsHistogram, ResetKeepsShape) {
   Histogram h(0.0, 1.0, 4);
   h.observe(0.3);

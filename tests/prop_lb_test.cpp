@@ -2,17 +2,19 @@
 //
 // Whatever the load, policy, burst model, or routing strategy, a correct
 // simulator neither loses nor invents requests: arrived == served +
-// still_queued exactly, with sane delays and throughput. Both the binary
-// {C, E} simulator and the typed affinity-graph simulator are swept.
+// still_queued exactly, with sane delays and throughput. The binary {C, E}
+// engine is swept through both entry points — run_lb_sim and
+// run_sharded_lb_sim at 1, 2 and 4 shards, where every shard must conserve
+// on its own — and so is the typed affinity-graph simulator.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 
-#include "correlate/decision_source.hpp"
 #include "correlate/typed_source.hpp"
 #include "games/affinity.hpp"
 #include "lb/invariants.hpp"
+#include "lb/sharded_simulator.hpp"
 #include "lb/simulator.hpp"
 #include "lb/strategy.hpp"
 #include "lb/typed_simulator.hpp"
@@ -75,20 +77,63 @@ PlainCase random_plain_case(Rng& rng) {
   return c;
 }
 
+/// The decision source behind a case's strategy: its paired kind, or
+/// "random" (the sharded engine's only unpaired routing).
+std::string source_of(const std::string& kind) {
+  if (kind == "paired-classical") return "classical-chsh";
+  if (kind == "paired-quantum") return "quantum-chsh";
+  return "random";
+}
+
 std::unique_ptr<ftl::lb::LbStrategy> make_plain_strategy(
     const std::string& kind) {
   using namespace ftl;
-  if (kind == "random") return std::make_unique<lb::RandomStrategy>();
   if (kind == "round-robin") return std::make_unique<lb::RoundRobinStrategy>();
   if (kind == "power-of-two") {
     return std::make_unique<lb::PowerOfTwoStrategy>();
   }
-  if (kind == "paired-classical") {
-    return std::make_unique<lb::PairedStrategy>(
-        correlate::make_source("classical-chsh"));
+  return lb::make_strategy(source_of(kind));
+}
+
+/// No server can complete more than two tasks per step.
+long long capacity(std::size_t servers, long measure_steps) {
+  return 2LL * static_cast<long long>(servers) *
+         static_cast<long long>(measure_steps);
+}
+
+/// The sharded engine on `shards` copies of the case's cluster (so every
+/// shard is valid and runs at the case's load), routed by the case's
+/// source.
+std::string sharded_violation(const PlainCase& c, std::size_t shards) {
+  ftl::lb::ShardedLbConfig cfg;
+  static_cast<LbConfig&>(cfg) = c.cfg;
+  cfg.num_balancers *= shards;
+  cfg.num_servers *= shards;
+  cfg.num_shards = shards;
+  cfg.source = source_of(c.strategy);
+  const auto r = ftl::lb::run_sharded_lb_sim(cfg);
+  const std::string where =
+      cfg.source + " at " + std::to_string(shards) + " shards: ";
+  ftl::lb::ShardedCounters sum;
+  for (const ftl::lb::ShardedCounters& s : r.per_shard) {
+    if (s.arrived != s.served + s.still_queued) {
+      return where + "a shard lost or invented requests";
+    }
+    if (s.served > capacity(c.cfg.num_servers, c.cfg.measure_steps)) {
+      return where + "a shard exceeds its service capacity";
+    }
+    sum += s;
   }
-  return std::make_unique<lb::PairedStrategy>(
-      correlate::make_source("quantum-chsh"));
+  if (r.per_shard.size() != shards || !(sum == r.counters)) {
+    return where + "totals are not the sum of the shards";
+  }
+  if (r.counters.arrived != r.counters.served + r.counters.still_queued) {
+    return where + "totals lost or invented requests";
+  }
+  if (r.counters.served > capacity(cfg.num_servers, cfg.measure_steps)) {
+    return where + "totals exceed service capacity";
+  }
+  return "";
 }
 
 TEST(PropLb, PlainSimulatorConservesRequests) {
@@ -102,14 +147,15 @@ TEST(PropLb, PlainSimulatorConservesRequests) {
         if (!violation.empty()) {
           return CaseResult::fail(c.strategy + ": " + violation);
         }
-        // No server can complete more than two tasks per step.
-        const long long capacity =
-            2LL * static_cast<long long>(c.cfg.num_servers) *
-            static_cast<long long>(c.cfg.measure_steps);
-        if (result.served > capacity) {
+        const long long cap = capacity(c.cfg.num_servers, c.cfg.measure_steps);
+        if (result.served > cap) {
           return CaseResult::fail("served " + std::to_string(result.served) +
                                   " exceeds service capacity " +
-                                  std::to_string(capacity));
+                                  std::to_string(cap));
+        }
+        for (std::size_t shards : {1u, 2u, 4u}) {
+          const std::string bad = sharded_violation(c, shards);
+          if (!bad.empty()) return CaseResult::fail(bad);
         }
         return CaseResult::pass();
       });

@@ -3,23 +3,20 @@
 // Three layers of guarantees, strongest first:
 //   1. bit-identical determinism — same (seed, shard count) must reproduce
 //      the integer counters exactly, on any thread count;
-//   2. exact reference equivalence — a 1-shard run consumes the identical
-//      RNG stream as run_lb_sim and must match its deterministic counters
-//      bit for bit (and its float means to round-off);
+//   2. exact accounting — the p95 delay is the exact percentile, however
+//      long the queues grow (lb_golden_test pins the counters themselves);
 //   3. statistical physics equivalence — multi-shard runs are independent
 //      sub-clusters at the same load, so conserved quantities are invariant
 //      in the shard count and the CHSH win rate / queue curves must match
-//      the single-threaded engine within confidence intervals.
+//      the single-shard run_lb_sim within confidence intervals.
 #include "lb/sharded_simulator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
-#include <memory>
 #include <vector>
 
-#include "correlate/decision_source.hpp"
 #include "lb/simulator.hpp"
 #include "lb/strategy.hpp"
 #include "sim/sharded.hpp"
@@ -135,59 +132,21 @@ TEST(ShardedSim, ThreadCountDoesNotChangeResults) {
   EXPECT_DOUBLE_EQ(r1.mean_delay, r8.mean_delay);
 }
 
-// --- 2. exact equivalence with the single-threaded engine ------------------
+// --- 2. exact accounting -----------------------------------------------------
 
-TEST(ShardedSim, OneShardMatchesReferenceEngineBitForBit) {
-  for (const char* source :
-       {"quantum-chsh", "classical-chsh", "omniscient", "independent"}) {
-    const ShardedLbConfig cfg = small_cfg(source, 1);
-
-    LbConfig ref;
-    ref.num_balancers = cfg.num_balancers;
-    ref.num_servers = cfg.num_servers;
-    ref.p_colocate = cfg.p_colocate;
-    ref.policy = cfg.policy;
-    ref.warmup_steps = cfg.warmup_steps;
-    ref.measure_steps = cfg.measure_steps;
-    ref.seed = cfg.seed;
-    PairedStrategy strategy(correlate::make_source(source));
-    const LbResult expected = run_lb_sim(ref, strategy);
-
-    const ShardedLbResult got = run_sharded_lb_sim(cfg);
-    EXPECT_EQ(got.counters.arrived, expected.arrived) << source;
-    EXPECT_EQ(got.counters.served, expected.served) << source;
-    EXPECT_EQ(got.counters.still_queued, expected.still_queued) << source;
-    // The sharded engine sums exact integer queue lengths / delays where
-    // the reference runs a Welford accumulator, so the means agree to
-    // float rounding rather than bit for bit.
-    EXPECT_NEAR(got.mean_queue_length, expected.mean_queue_length,
-                1e-9 * (1.0 + expected.mean_queue_length))
-        << source;
-    EXPECT_NEAR(got.mean_delay, expected.mean_delay,
-                1e-9 * (1.0 + expected.mean_delay))
-        << source;
-    EXPECT_NEAR(got.throughput, expected.throughput, 1e-12) << source;
-  }
-}
-
-TEST(ShardedSim, OneShardRandomMatchesReferenceEngineBitForBit) {
-  const ShardedLbConfig cfg = small_cfg("random", 1);
-  LbConfig ref;
-  ref.num_balancers = cfg.num_balancers;
-  ref.num_servers = cfg.num_servers;
-  ref.warmup_steps = cfg.warmup_steps;
-  ref.measure_steps = cfg.measure_steps;
-  ref.seed = cfg.seed;
-  RandomStrategy strategy;
-  const LbResult expected = run_lb_sim(ref, strategy);
-  const ShardedLbResult got = run_sharded_lb_sim(cfg);
-  EXPECT_EQ(got.counters.arrived, expected.arrived);
-  EXPECT_EQ(got.counters.served, expected.served);
-  EXPECT_EQ(got.counters.still_queued, expected.still_queued);
-  EXPECT_NEAR(got.mean_queue_length, expected.mean_queue_length,
-              1e-9 * (1.0 + expected.mean_queue_length));
-  EXPECT_NEAR(got.mean_delay, expected.mean_delay,
-              1e-9 * (1.0 + expected.mean_delay));
+TEST(ShardedSim, P95IsExactUnderOverload) {
+  // Load 2.5 with random routing: queues grow without bound and about 9k
+  // of the 109k measured delays exceed 512 steps. The p95 must come from
+  // every delay, not from a clamped fixed-range histogram.
+  ShardedLbConfig cfg;
+  cfg.num_balancers = 100;
+  cfg.num_servers = 40;
+  cfg.warmup_steps = 200;
+  cfg.measure_steps = 2000;
+  cfg.seed = 42;
+  const ShardedLbResult r = run_sharded_lb_sim(cfg);
+  EXPECT_EQ(r.counters.served, 109172);
+  EXPECT_EQ(r.p95_delay, 1304.0);
 }
 
 // --- 3. conservation and statistical physics equivalence -------------------
@@ -252,14 +211,7 @@ TEST(ShardedSim, MultiShardMatchesReferencePhysicsWithinCi) {
       ref.warmup_steps = 200;
       ref.measure_steps = 800;
       ref.seed = 100 + i;
-      std::unique_ptr<LbStrategy> strategy;
-      if (std::string(source) == "random") {
-        strategy = std::make_unique<RandomStrategy>();
-      } else {
-        strategy =
-            std::make_unique<PairedStrategy>(correlate::make_source(source));
-      }
-      ref_mq.add(run_lb_sim(ref, *strategy).mean_queue_length);
+      ref_mq.add(run_lb_sim(ref, *make_strategy(source)).mean_queue_length);
     }
 
     util::Accumulator sharded_mq;

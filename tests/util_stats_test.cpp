@@ -108,6 +108,24 @@ TEST(Percentile, SingleElement) {
   EXPECT_DOUBLE_EQ(percentile({7.0}, 0.25), 7.0);
 }
 
+TEST(Percentile, OfCountsMatchesExpandedSampleExactly) {
+  Rng rng(5);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::uint64_t> counts(1 + rng.uniform_int(std::uint64_t{12}));
+    std::vector<double> xs;
+    for (std::size_t v = 0; v < counts.size(); ++v) {
+      // Zero counts included: empty values must be skipped, not emitted.
+      counts[v] = rng.bernoulli(0.3) ? 0 : rng.uniform_int(std::uint64_t{9});
+      xs.insert(xs.end(), counts[v], static_cast<double>(v));
+    }
+    if (xs.empty()) continue;
+    for (double q : {0.0, 0.05, 0.5, 0.95, 1.0, rng.uniform()}) {
+      EXPECT_EQ(percentile_of_counts(counts, q), percentile(xs, q))
+          << "trial " << trial << " q " << q;
+    }
+  }
+}
+
 TEST(MeanOf, Basic) {
   EXPECT_DOUBLE_EQ(mean_of({1.0, 2.0, 3.0}), 2.0);
   EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
