@@ -16,12 +16,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 
 #include "games/chsh.hpp"
 #include "qcore/density.hpp"
 #include "qnet/config.hpp"
+#include "qnet/pair_pool.hpp"
 #include "util/rng.hpp"
 
 namespace ftl::core {
@@ -95,13 +95,9 @@ class CorrelatedPair {
   std::optional<qcore::Density> round_state_;
   int shared_bit_ = 0;  // classical fallback shared randomness
   double sim_time_s_ = 0.0;
-  double next_pair_time_s_ = 0.0;
-  /// Arrival times (at the QNICs) of pairs generated so far, oldest first.
-  /// May include pairs still in flight (arrival > now).
-  std::deque<double> memory_;
-  /// Storage limit clamped to the window in which a stored pair still beats
-  /// the classical strategy (computed once from T1/T2/visibility).
-  double effective_storage_s_ = 0.0;
+  /// Pair supply when cfg_.supply is set, advanced on rng_ to each round's
+  /// physical time.
+  std::optional<qnet::PairPool> pool_;
 };
 
 }  // namespace ftl::core

@@ -1,17 +1,17 @@
-// Pair broker: discrete-event simulation of the continuous entanglement
+// Pair broker: the batch provisioning run of the continuous entanglement
 // stream in Figure 2 feeding one pair of servers.
 //
-// The source emits pairs as a Poisson process; each half traverses a lossy
-// fiber; surviving pairs are stored in bounded QNIC memory where they
-// decohere; requests arrive and consume the freshest stored pair (freshest-
-// first maximises residual visibility). The statistics answer the
-// provisioning question of §3: what pair rate / storage budget keeps the
-// quantum advantage alive for a given request rate?
+// Poisson requests drain one qnet::PairPool (Poisson emission, lossy fiber,
+// bounded decohering QNIC memory, freshest-first consumption). The
+// statistics answer the provisioning question of §3: what pair rate /
+// storage budget keeps the quantum advantage alive for a given request
+// rate?
 #pragma once
 
 #include <cstddef>
 
 #include "qnet/config.hpp"
+#include "qnet/pair_pool.hpp"
 #include "util/rng.hpp"
 
 namespace ftl::qnet {
@@ -20,7 +20,8 @@ struct BrokerStats {
   std::size_t requests = 0;
   /// Requests that found a live (non-expired) pair in memory.
   std::size_t pair_hits = 0;
-  /// Pairs generated / delivered (both halves survived fiber).
+  /// Pairs generated (emissions whose arrival time has passed) / delivered
+  /// (both halves survived fiber).
   std::size_t pairs_generated = 0;
   std::size_t pairs_delivered = 0;
   /// Pairs dropped because memory was full / expired unused.
@@ -28,9 +29,6 @@ struct BrokerStats {
   std::size_t pairs_expired = 0;
   /// Pairs lost to fiber attenuation (at least one photon absorbed).
   std::size_t pairs_lost_fiber = 0;
-  /// Pairs emitted before `duration_s` whose delivery was still traversing
-  /// fiber when the simulation stopped.
-  std::size_t pairs_in_flight = 0;
   /// Live pairs still stored in QNIC memory at the end of the run.
   std::size_t pairs_in_memory = 0;
   /// Mean storage age of consumed pairs, seconds.
@@ -46,21 +44,17 @@ struct BrokerStats {
                                static_cast<double>(requests);
   }
 
-  /// Exact pair-conservation identity at the stats boundary: every
-  /// generated pair is accounted for (lost in fiber, still in flight, or
-  /// delivered), and every delivered pair was consumed, expired, evicted,
-  /// or is still in memory. Tests assert this after every run.
+  /// Exact pair-conservation identity at the stats boundary (see
+  /// qnet::pairs_conserved). Tests assert this after every run.
   [[nodiscard]] bool conservation_holds() const {
-    return pairs_generated ==
-               pairs_lost_fiber + pairs_in_flight + pairs_delivered &&
-           pairs_delivered == pair_hits + pairs_expired + pairs_dropped_full +
-                                  pairs_in_memory;
+    return pairs_conserved(*this, pair_hits);
   }
 };
 
 /// Simulates `duration_s` of pair supply against Poisson request arrivals
 /// at `request_rate_hz` (a request = one simultaneous decision by the two
-/// endpoints, consuming one pair).
+/// endpoints, consuming one pair). Photons still in the fiber at
+/// `duration_s` are not yet generated, so nothing is ever in flight.
 [[nodiscard]] BrokerStats simulate_pair_supply(const QnetConfig& cfg,
                                                double request_rate_hz,
                                                double duration_s,

@@ -1,6 +1,7 @@
 #include "qnet/live_broker.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/assert.hpp"
 
@@ -8,12 +9,7 @@ namespace ftl::qnet {
 
 LiveBroker::LiveBroker(const LiveBrokerConfig& cfg, std::uint64_t seed)
     : cfg_(cfg),
-      max_storage_s_(std::min(
-          cfg.qnet.max_storage_s,
-          useful_storage_window_s(cfg.qnet.source_visibility,
-                                  cfg.qnet.memory_t1_s, cfg.qnet.memory_t2_s))),
-      deliver_p_(cfg.qnet.pair_delivery_probability()),
-      delay_s_(cfg.qnet.propagation_delay_s()),
+      max_storage_s_(storage_limit_s(cfg.qnet, cfg.qnet.source_visibility)),
       win_curve_(cfg.qnet.source_visibility, cfg.qnet.memory_t1_s,
                  cfg.qnet.memory_t2_s, max_storage_s_),
       t0_(std::chrono::steady_clock::now()),
@@ -46,10 +42,8 @@ LiveBroker::LiveBroker(const LiveBrokerConfig& cfg, std::uint64_t seed)
   const std::size_t slots = cfg_.slots_per_source();
   sources_.reserve(cfg.sources);
   for (std::size_t i = 0; i < cfg.sources; ++i) {
-    auto s = std::make_unique<Source>();
-    s->ring.resize(slots);
-    s->rng = master.split(i);
-    s->next_emit_s = s->rng.exponential(cfg_.qnet.pair_rate_hz);
+    auto s = std::make_unique<Source>(cfg_.qnet, slots, max_storage_s_,
+                                      master.split(i));
     s->occupancy = &obs::registry().histogram(
         "qnet.live.pool_occupancy", 0.0,
         static_cast<double>(std::max<std::size_t>(slots, 1)),
@@ -66,16 +60,6 @@ double LiveBroker::now_s() const {
       .count();
 }
 
-void LiveBroker::evict_expired_locked(Source& s, double now_s) {
-  const std::size_t cap = s.ring.size();
-  while (s.count > 0 && now_s - s.ring[s.head] > max_storage_s_) {
-    s.head = (s.head + 1) % cap;
-    --s.count;
-    ++s.expired;
-    m_expired_.inc();
-  }
-}
-
 void LiveBroker::produce_until(std::size_t source, double now_s) {
   FTL_ASSERT(source < sources_.size());
   Source& s = *sources_[source];
@@ -84,40 +68,28 @@ void LiveBroker::produce_until(std::size_t source, double now_s) {
 }
 
 void LiveBroker::produce_locked(Source& s, double now_s) {
-  const std::size_t cap = s.ring.size();
-  // Emissions are resolved at their *arrival* deadline so the pool only
-  // ever holds pairs that have fully traversed the fiber; a pair between
-  // emission and arrival is implicit in next_emit_s.
-  while (s.next_emit_s + delay_s_ <= now_s) {
-    ++s.generated;
-    m_generated_.inc();
-    if (s.rng.bernoulli(deliver_p_)) {
-      ++s.delivered;
-      m_delivered_.inc();
-      const double arrival = s.next_emit_s + delay_s_;
-      // Pairs already out of the storage window at this arrival's time
-      // expired before the new pair landed — count them as expired, not as
-      // capacity drops (only a genuinely full pool of live pairs drops).
-      evict_expired_locked(s, arrival);
-      // Arrival-ordered insert at the tail; drop the oldest (most
-      // decohered) pair when the QNIC is full.
-      if (s.count == cap) {
-        s.head = (s.head + 1) % cap;
-        --s.count;
-        ++s.dropped_full;
-        m_dropped_full_.inc();
-      }
-      s.ring[(s.head + s.count) % cap] = arrival;
-      ++s.count;
-      m_occupancy_hw_.update_max(static_cast<double>(s.count));
-      s.occupancy->observe(static_cast<double>(s.count));
-    } else {
-      ++s.lost_fiber;
-      m_lost_fiber_.inc();
+  const PoolTallies before = s.pool.tallies();
+  s.pool.produce_until(now_s, s.rng);
+  const PoolTallies& after = s.pool.tallies();
+  // At serving rates most calls resolve no emission, so the shared
+  // registry only sees the tallies that moved.
+  const auto flush = [](obs::Counter& c, std::uint64_t now,
+                        std::uint64_t then) {
+    if (now != then) c.inc(now - then);
+  };
+  if (after.generated != before.generated) {
+    m_generated_.inc(after.generated - before.generated);
+    flush(m_delivered_, after.delivered, before.delivered);
+    flush(m_lost_fiber_, after.lost_fiber, before.lost_fiber);
+    flush(m_dropped_full_, after.dropped_full, before.dropped_full);
+    if (after.delivered != before.delivered) {
+      s.occupancy->observe(static_cast<double>(s.pool.size()));
     }
-    s.next_emit_s += s.rng.exponential(cfg_.qnet.pair_rate_hz);
+    if (after.high_water != before.high_water) {
+      m_occupancy_hw_.update_max(static_cast<double>(after.high_water));
+    }
   }
-  evict_expired_locked(s, now_s);
+  flush(m_expired_, after.expired, before.expired);
 }
 
 LiveBroker::Decision LiveBroker::decide(std::size_t source, std::uint8_t input,
@@ -133,26 +105,19 @@ LiveBroker::Decision LiveBroker::decide(std::size_t source, std::uint8_t input,
   // those the producer thread's last tick saw. (Idempotent in stepped mode,
   // where callers produce and decide at the same virtual time; essential in
   // live mode, where the storage window is far shorter than any sane refill
-  // period.) Ends with expiry eviction, so the freshest-first pop below
-  // only ever sees live pairs.
+  // period.) Ends with expiry eviction, so the pool only holds live pairs.
   produce_locked(s, now_s);
-  if (s.count > 0) {
-    // Freshest-first: the newest pair carries the highest residual
-    // visibility; older pairs stay for later requests (or expire).
-    const std::size_t cap = s.ring.size();
-    --s.count;
-    const double age =
-        std::max(0.0, now_s - s.ring[(s.head + s.count) % cap]);
+  if (const std::optional<double> age = s.pool.take_freshest(now_s)) {
     d.quantum = true;
-    d.pair_age_s = age;
-    d.win_probability = win_curve_.at(age);
+    d.pair_age_s = *age;
+    d.win_probability = win_curve_.at(*age);
     d.output = static_cast<std::uint8_t>(s.rng.bernoulli(0.5) ? 1 : 0);
     ++s.hits;
-    s.consumed_age_sum_s += age;
+    s.consumed_age_sum_s += *age;
     m_hits_.inc();
-    m_consumed_age_.observe(age);
-    m_pair_age_us_.observe(age * 1e6);
-    s.occupancy->observe(static_cast<double>(s.count));
+    m_consumed_age_.observe(*age);
+    m_pair_age_us_.observe(*age * 1e6);
+    s.occupancy->observe(static_cast<double>(s.pool.size()));
   } else {
     // Classical fallback: the pre-agreed deterministic strategy (output
     // your input) wins the flipped-CHSH game with probability 3/4.
@@ -234,12 +199,13 @@ LiveBrokerStats LiveBroker::stats() const {
     out.hits += s.hits;
     out.fallbacks += s.fallbacks;
     out.rounds_won += s.rounds_won;
-    out.pairs_generated += s.generated;
-    out.pairs_delivered += s.delivered;
-    out.pairs_lost_fiber += s.lost_fiber;
-    out.pairs_expired += s.expired;
-    out.pairs_dropped_full += s.dropped_full;
-    out.pairs_in_memory += s.count;
+    const PoolTallies& t = s.pool.tallies();
+    out.pairs_generated += t.generated;
+    out.pairs_delivered += t.delivered;
+    out.pairs_lost_fiber += t.lost_fiber;
+    out.pairs_expired += t.expired;
+    out.pairs_dropped_full += t.dropped_full;
+    out.pairs_in_memory += s.pool.size();
     out.consumed_age_sum_s += s.consumed_age_sum_s;
     out.win_sum += s.win_sum;
   }

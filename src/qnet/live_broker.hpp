@@ -1,24 +1,31 @@
-// Concurrent live pair broker: the serving-path counterpart of
-// simulate_pair_supply.
+// Concurrent live pair broker: the serving-path caller of qnet::PairPool.
 //
-// Where the batch broker replays Figure 2 inside a discrete-event engine,
-// LiveBroker holds real per-source pair pools that a producer advances
-// continuously (Poisson emission, fiber loss, propagation delay) while any
-// number of request threads consume pairs freshest-first. Expiry-aware
-// eviction drops pairs whose storage age has left the useful T1/T2 window
-// (the WinCurve math), admission control bounds the number of in-flight
-// decisions, and every event feeds `qnet.live.*` metrics so a scrape of the
-// daemon shows hit fraction, consumed age, and fallback rate live.
+// LiveBroker holds one PairPool per source (Poisson emission resolved at
+// arrival time, fiber loss, freshest-first consumption, expiry then
+// drop-oldest on arrival) that a producer advances continuously while any
+// number of request threads consume pairs. Admission control bounds the
+// number of in-flight decisions, and every decision feeds `qnet.live.*`
+// metrics so a scrape of the daemon shows hit fraction, consumed age, and
+// fallback rate live.
+//
+// Metric semantics: `qnet.live.pairs.*` receive the pool's tally deltas
+// (only the non-zero ones) after each produce; the
+// `qnet.live.pool.occupancy.high_water` gauge is exact through the pool's
+// high-water tally; the per-source `qnet.live.pool_occupancy{source}`
+// histogram gets one observation per produce call that delivered pairs and
+// one per consumption, so it samples the occupancy decisions see rather
+// than every arrival.
 //
 // Two clocks, one code path:
 //  * live mode — start_producer() runs a refill thread against the broker's
 //    monotonic clock; decide_now() consumes at wall-clock time. This is
 //    what tools/ftlcoordd serves.
 //  * stepped mode — callers advance virtual time explicitly via
-//    produce_until()/decide(). Per-source RNG streams make every counter
-//    deterministic in (seed, config, request schedule), independent of
-//    thread interleaving as long as each source has one driver — the
-//    property bench_ftlcoordd's CI-gated counters rely on.
+//    produce_until()/decide(). Each source's pool and decisions draw from
+//    one per-source RNG stream, so every counter is deterministic in
+//    (seed, config, request schedule), independent of thread interleaving
+//    as long as each source has one driver — the property bench_ftlcoordd's
+//    CI-gated counters rely on.
 #pragma once
 
 #include <chrono>
@@ -33,6 +40,7 @@
 #include "obs/metrics.hpp"
 #include "qnet/config.hpp"
 #include "qnet/decoherence.hpp"
+#include "qnet/pair_pool.hpp"
 #include "util/rng.hpp"
 
 namespace ftl::qnet {
@@ -85,15 +93,9 @@ struct LiveBrokerStats {
                          : win_sum / static_cast<double>(requests);
   }
 
-  /// Same boundary identity as the batch BrokerStats: delivered pairs are
-  /// consumed, expired, evicted, or still pooled. (Emission and arrival
-  /// are resolved atomically in the live model, so there is no in-flight
-  /// term: a pair "generated" here has already met its fiber fate.)
+  /// The batch BrokerStats identity (see qnet::pairs_conserved).
   [[nodiscard]] bool conservation_holds() const {
-    return pairs_generated ==
-               pairs_lost_fiber + pairs_delivered &&
-           pairs_delivered == hits + pairs_expired + pairs_dropped_full +
-                                  pairs_in_memory;
+    return pairs_conserved(*this, hits);
   }
 };
 
@@ -119,9 +121,7 @@ class LiveBroker {
 
   // -- stepped mode (deterministic) -----------------------------------------
 
-  /// Advances `source`'s Poisson emission process so every pair whose
-  /// *arrival* time (emission + propagation delay) is <= now_s has been
-  /// delivered into the pool or counted lost, then evicts expired pairs.
+  /// Advances `source`'s pool to now_s (see PairPool::produce_until).
   void produce_until(std::size_t source, double now_s);
 
   /// Consumes the freshest live pair of `source` at time now_s (classical
@@ -167,40 +167,33 @@ class LiveBroker {
   }
 
  private:
-  /// One pair source: emission process + bounded freshest-first pool.
-  /// Padded to a cache line so per-source mutexes do not false-share.
+  /// One pair source: its pool plus the decision tallies, all guarded by
+  /// `mu`, and one RNG stream for both emission and decision draws. Plain
+  /// integers keep the hot path free of extra atomics (the obs counters
+  /// already provide the lock-free live view); stats() sums them. Padded
+  /// to a cache line so per-source mutexes do not false-share.
   struct alignas(64) Source {
+    Source(const QnetConfig& q, std::size_t slots, double max_storage_s,
+           util::Rng stream)
+        : rng(stream), pool(q, slots, max_storage_s, rng) {}
+
     std::mutex mu;
-    std::vector<double> ring;  ///< arrival timestamps, oldest at `head`
-    std::size_t head = 0;
-    std::size_t count = 0;
-    double next_emit_s = 0.0;
-    util::Rng rng{0};
-    // Per-source tallies guarded by mu; stats() sums them. Plain integers
-    // keep the hot path free of extra atomics (the obs counters already
-    // provide the lock-free live view).
-    std::uint64_t generated = 0, delivered = 0, lost_fiber = 0, expired = 0,
-                  dropped_full = 0, requests = 0, hits = 0, fallbacks = 0,
-                  rounds_won = 0;
+    util::Rng rng;
+    PairPool pool;
+    std::uint64_t requests = 0, hits = 0, fallbacks = 0, rounds_won = 0;
     double consumed_age_sum_s = 0.0;
     double win_sum = 0.0;
-    /// Per-source pool-occupancy histogram (`qnet.live.pool_occupancy`
-    /// labeled source=<i>), sampled after every arrival and consumption —
-    /// the distribution, where the high-water gauge only keeps the max.
+    /// `qnet.live.pool_occupancy` labeled source=<i>: the distribution,
+    /// where the high-water gauge only keeps the max.
     obs::Histogram* occupancy = nullptr;
   };
 
-  /// Drops pairs older than the storage window. Caller holds s.mu.
-  void evict_expired_locked(Source& s, double now_s);
-
-  /// Emission loop of produce_until with s.mu already held; decide() calls
-  /// this so the pool is current as of the request time.
+  /// produce_until with s.mu already held; decide() calls this so the pool
+  /// is current as of the request time.
   void produce_locked(Source& s, double now_s);
 
   LiveBrokerConfig cfg_;
   double max_storage_s_;
-  double deliver_p_;
-  double delay_s_;
   WinCurve win_curve_;
   std::vector<std::unique_ptr<Source>> sources_;
 

@@ -97,17 +97,16 @@ TEST(Broker, ConservationOfPairs) {
 }
 
 TEST(Broker, ConservationIsExactAtStatsBoundary) {
-  // Every generated pair must be accounted for, including pairs still
-  // traversing fiber at duration_s and live pairs left in memory — the two
-  // populations the stats used to silently leak.
+  // Every generated pair must be accounted for, including live pairs left
+  // in memory. Emissions are resolved at arrival, so a photon still in the
+  // fiber at duration_s is not generated yet and nothing is in flight.
   for (std::uint64_t seed : {1u, 7u, 23u, 99u}) {
     QnetConfig cfg;
     cfg.pair_rate_hz = 5e4;
-    cfg.fiber_km = 25.0;  // long fiber: real loss and a fat in-flight window
+    cfg.fiber_km = 25.0;  // long fiber: real loss and a 125 us delay
     util::Rng rng(seed);
     const BrokerStats s = simulate_pair_supply(cfg, 1e4, 0.2, rng);
-    EXPECT_EQ(s.pairs_generated,
-              s.pairs_lost_fiber + s.pairs_in_flight + s.pairs_delivered);
+    EXPECT_EQ(s.pairs_generated, s.pairs_lost_fiber + s.pairs_delivered);
     EXPECT_EQ(s.pairs_delivered, s.pair_hits + s.pairs_expired +
                                      s.pairs_dropped_full + s.pairs_in_memory);
     EXPECT_TRUE(s.conservation_holds());
