@@ -144,12 +144,12 @@ const PlainGolden kPlainGolden[] = {
     {"paired(independent)/burst/b1/paper-c-first", 4612, 4571, 41, 13921, 13368, 2346, 2225, 17},
     {"paired(independent)/burst/b1/fifo-pair", 4612, 4579, 33, 8458, 8315, 2332, 2247, 7},
     {"paired(independent)/burst/b1/e-first", 4612, 4571, 41, 10617, 10287, 2312, 2259, 13},
-    {"paired(supply)/steady/b1/paper-c-first", 8000, 7153, 847, 197990, 155688, 4026, 3127, 88},
-    {"paired(supply)/steady/b1/fifo-pair", 8000, 7881, 119, 39184, 38226, 3964, 3917, 13},
-    {"paired(supply)/steady/b1/e-first", 8000, 7853, 147, 49736, 46594, 3885, 3968, 28},
-    {"paired(supply)/burst/b1/paper-c-first", 4612, 4570, 42, 10849, 10380, 2345, 2225, 12},
-    {"paired(supply)/burst/b1/fifo-pair", 4612, 4580, 32, 6085, 5984, 2330, 2250, 5},
-    {"paired(supply)/burst/b1/e-first", 4612, 4580, 32, 7073, 6874, 2320, 2260, 7},
+    {"paired(supply)/steady/b1/paper-c-first", 8000, 7225, 775, 181845, 146630, 4025, 3200, 78},
+    {"paired(supply)/steady/b1/fifo-pair", 8000, 7881, 119, 36715, 35815, 3961, 3920, 12},
+    {"paired(supply)/steady/b1/e-first", 8000, 7843, 157, 47462, 44362, 3872, 3971, 27},
+    {"paired(supply)/burst/b1/paper-c-first", 4612, 4570, 42, 10978, 10487, 2345, 2225, 12},
+    {"paired(supply)/burst/b1/fifo-pair", 4612, 4583, 29, 5937, 5852, 2328, 2255, 5},
+    {"paired(supply)/burst/b1/e-first", 4612, 4581, 31, 6701, 6487, 2317, 2264, 7},
 };
 
 const ShardedGolden kShardedGolden[] = {
