@@ -271,6 +271,31 @@ TEST(CompareMetric, MissingMetricYieldsNoVerdict) {
   EXPECT_FALSE(cmp.regressed);
 }
 
+TEST(CompareMetric, UncomparedMetricsAreReported) {
+  // Two benches: the counter exists on both sides of bench_a only, and the
+  // deleted metric exists only in bench_b's baseline.
+  Trajectory base_a, cand_a, base_b, cand_b;
+  base_a.bench = cand_a.bench = "bench_a";
+  base_b.bench = cand_b.bench = "bench_b";
+  base_a.entries.push_back(entry(1.0, 0.9, {{"qnet.requests", 10.0}}));
+  cand_a.entries.push_back(entry(1.0, 0.9, {{"qnet.requests", 10.0}}));
+  base_b.entries.push_back(entry(1.0, 0.9, {{"sim.events.fired", 7.0}}));
+  cand_b.entries.push_back(entry(1.0, 0.9));
+  CompareOptions opts;
+  opts.metrics = {"sim.events.fired", "qnet.requests", "wall_time_s",
+                  "no.such.metric"};
+  const std::vector<CompareReport> reports = {
+      compare_trajectories(base_a, cand_a, opts),
+      compare_trajectories(base_b, cand_b, opts)};
+  EXPECT_FALSE(reports[1].rows[0].compared());
+  EXPECT_TRUE(reports[0].rows[1].compared());
+  EXPECT_EQ(uncompared_metrics(reports, opts.metrics),
+            (std::vector<std::string>{"sim.events.fired", "no.such.metric"}));
+  EXPECT_TRUE(uncompared_metrics(reports, {"qnet.requests"}).empty());
+  EXPECT_EQ(uncompared_metrics({}, {"qnet.requests"}),
+            std::vector<std::string>{"qnet.requests"});
+}
+
 TEST(CompareMetric, CounterDriftGates) {
   Trajectory base, cand;
   base.bench = cand.bench = "bench_x";

@@ -93,4 +93,18 @@ CompareReport compare_trajectories(const Trajectory& baseline,
   return report;
 }
 
+std::vector<std::string> uncompared_metrics(
+    const std::vector<CompareReport>& reports,
+    const std::vector<std::string>& metrics) {
+  std::vector<std::string> out;
+  for (const std::string& metric : metrics) {
+    bool seen = false;
+    for (const CompareReport& report : reports)
+      for (const MetricComparison& row : report.rows)
+        seen = seen || (row.metric == metric && row.compared());
+    if (!seen) out.push_back(metric);
+  }
+  return out;
+}
+
 }  // namespace ftl::benchtool

@@ -55,6 +55,11 @@ struct MetricComparison {
   BootstrapCi ci;
   bool regressed = false;  // ratio > threshold and CI excludes 1
   bool improved = false;   // ratio < 1/threshold and CI excludes 1
+
+  /// Both sides had samples, so a verdict was possible.
+  [[nodiscard]] bool compared() const {
+    return n_baseline > 0 && n_candidate > 0;
+  }
 };
 
 /// Compares one metric across two trajectories. Entries missing the metric
@@ -78,5 +83,12 @@ struct CompareReport {
 [[nodiscard]] CompareReport compare_trajectories(const Trajectory& baseline,
                                                  const Trajectory& candidate,
                                                  const CompareOptions& opts);
+
+/// Requested metrics that no report compared: no bench had samples of them
+/// on both sides, so a gate on them checks nothing (say, a deleted or
+/// renamed metric). In `metrics` order.
+[[nodiscard]] std::vector<std::string> uncompared_metrics(
+    const std::vector<CompareReport>& reports,
+    const std::vector<std::string>& metrics);
 
 }  // namespace ftl::benchtool

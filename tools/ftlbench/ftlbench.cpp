@@ -14,7 +14,8 @@
 //       BENCH_*.json. Prints a per-(bench, metric) table with the
 //       bootstrap CI of the candidate/baseline mean ratio. Exit status:
 //       0 = no regression, 1 = at least one metric regressed beyond the
-//       threshold with a CI excluding 1.0, 2 = usage or I/O error.
+//       threshold with a CI excluding 1.0, 2 = usage or I/O error, or a
+//       requested metric that no common bench has on both sides.
 //
 //   ftlbench export <run_report.json> [--prefix=ftl_]
 //       Re-serializes a run report's metrics in the Prometheus text
@@ -169,8 +170,7 @@ int cmd_compare(const util::Args& args) {
   util::Table table({"bench", "metric", "n(base)", "n(cand)", "ratio",
                      "ci-lo", "ci-hi", "verdict"});
   table.set_precision(4);
-  bool any_regressed = false;
-  std::size_t pairs = 0;
+  std::vector<CompareReport> reports;
   for (const auto& [name, base_path] : base_files) {
     const auto it = cand_files.find(name);
     if (it == cand_files.end()) {
@@ -183,12 +183,10 @@ int cmd_compare(const util::Args& args) {
       std::cerr << "ftlbench compare: invalid trajectory in " << name << "\n";
       return 2;
     }
-    ++pairs;
-    const CompareReport report = compare_trajectories(*base, *cand, opts);
-    any_regressed = any_regressed || report.any_regressed();
+    const CompareReport& report =
+        reports.emplace_back(compare_trajectories(*base, *cand, opts));
     for (const MetricComparison& row : report.rows) {
-      const char* verdict = row.n_baseline == 0 || row.n_candidate == 0
-                                ? "no-data"
+      const char* verdict = !row.compared()  ? "no-data"
                             : row.regressed ? "REGRESSED"
                             : row.improved  ? "improved"
                                             : "ok";
@@ -198,11 +196,23 @@ int cmd_compare(const util::Args& args) {
                      row.ci.lo, row.ci.hi, std::string(verdict)});
     }
   }
-  if (pairs == 0) {
+  if (reports.empty()) {
     std::cerr << "ftlbench compare: no common bench trajectories\n";
     return 2;
   }
   table.print(std::cout);
+  // A gated metric no common bench has on both sides compared nothing; a
+  // silent pass would switch the gate off.
+  const std::vector<std::string> missing =
+      uncompared_metrics(reports, opts.metrics);
+  for (const std::string& metric : missing) {
+    std::cerr << "ftlbench compare: no common bench has samples of '"
+              << metric << "' on both sides\n";
+  }
+  if (!missing.empty()) return 2;
+  const bool any_regressed =
+      std::any_of(reports.begin(), reports.end(),
+                  [](const CompareReport& r) { return r.any_regressed(); });
   if (any_regressed) {
     std::cout << "\nREGRESSION: candidate exceeds " << opts.threshold
               << "x baseline on at least one gated metric\n";
