@@ -39,8 +39,10 @@ namespace ftl::qnet {
 /// (both halves stored for `age` seconds), built once per broker: the exact
 /// density-matrix computation behind chsh_win_after_storage is far too slow
 /// to run per request, and the curve is smooth enough that 128 samples keep
-/// the interpolation error well below the physics noise. Shared by the
-/// batch simulate_pair_supply and the serving-path LiveBroker.
+/// the interpolation error well below the physics noise. Used by the
+/// batch simulate_pair_supply and the serving-path LiveBroker to grade the
+/// ages their qnet::PairPool returns (the pool itself holds no win curve;
+/// CorrelatedPair measures the exact post-storage state instead).
 class WinCurve {
  public:
   WinCurve(double v0, double t1_s, double t2_s, double max_age_s,
