@@ -63,7 +63,7 @@ struct Options {
 /// from argv, leaving only what benchmark::Initialize understands. The seed
 /// falls back to `fallback_seed` when `--seed` was not passed.
 inline Options parse_args(int& argc, char** argv, std::uint64_t fallback_seed) {
-  const util::Args args(argc, argv, /*allow_unknown=*/true);
+  const util::Args args(argc, argv);
   Options opts;
   opts.seed = static_cast<std::uint64_t>(
       args.get("seed", static_cast<long long>(fallback_seed)));

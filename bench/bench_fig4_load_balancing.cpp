@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
   // Our scaled-run flags, read and stripped the same way parse_args strips
   // the common ones (google-benchmark is fatal on unknown flags).
   {
-    const ftl::util::Args args(argc, argv, /*allow_unknown=*/true);
+    const ftl::util::Args args(argc, argv);
     g_shards = args.get("shards", g_shards);
     g_servers = args.get("servers", g_servers);
     const auto is_ours = [](const std::string& arg) {

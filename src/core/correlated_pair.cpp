@@ -30,7 +30,7 @@ CorrelatedPair::CorrelatedPair(const PairConfig& cfg)
     FTL_ASSERT(cfg_.round_rate_hz > 0.0);
     // The storage limit uses this pair's own visibility: never consume a
     // pair that has decohered below the classical strategy's value.
-    pool_.emplace(*cfg_.supply, cfg_.supply->memory_slots,
+    pool_.emplace(*cfg_.supply,
                   qnet::storage_limit_s(*cfg_.supply, cfg_.visibility), rng_);
   }
   begin_round();

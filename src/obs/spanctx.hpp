@@ -1,18 +1,18 @@
-// Propagatable trace context, parented spans, and sliding-window latency
-// histograms — the request-scoped layer of the observability subsystem.
+// Propagatable trace context and sliding-window latency histograms — the
+// request-scoped layer of the observability subsystem.
 //
-// Three pieces:
+// Two pieces:
 //  * TraceContext is a 64-bit trace id plus the span id of the current
 //    (parent) span. It crosses process boundaries on the wire (the
-//    ftlcoordd v2 decide frame carries one), so a client batch span and the
+//    ftlcoordd decide frame carries one), so a client batch span and the
 //    daemon's per-stage child spans land in different trace files under the
 //    same trace id and `ftlbench trace-merge` can join them into one
 //    Perfetto timeline. Ids derive deterministically from an RNG-stream
 //    label (splitmix64 over seed/stream/index), which is what makes traces
 //    reproducible in stepped mode: same seed, same schedule, same ids.
-//  * CtxSpan is the parented counterpart of ScopedSpan: it times a scope
-//    and records it with trace/span/parent ids in the event's args, so
-//    Perfetto groups the stages of one request even across processes.
+//    Spans under a context are recorded after the fact with
+//    Tracer::record_span, which stamps trace/span/parent ids into the
+//    event's args.
 //  * SlidingHistogram is a thread-safe windowed histogram: observations
 //    land in the current time epoch of a small ring, and flush() publishes
 //    p50/p95/p99/p999 over the live window as plain gauges
@@ -20,21 +20,20 @@
 //    serializer untouched. A scrape therefore sees *recent* latency, not
 //    the run-lifetime distribution the cumulative histograms report.
 //
-// Everything here has a no-op twin under FTL_OBS_ENABLED=OFF with
+// SlidingHistogram has a no-op twin under FTL_OBS_ENABLED=OFF with
 // identical signatures (asserted empty by obs_noop_test).
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "util/histogram.hpp"
 #include "util/rng.hpp"
 
 namespace ftl::obs {
@@ -84,61 +83,26 @@ struct TraceContext {
 
 namespace real {
 
-/// Times a scope and records it as a *parented* span: the event carries
-/// trace_id/span_id/parent_span_id args so cross-process viewers can join
-/// stages of one request. Inert when the tracer is inactive or the context
-/// is unsampled (one atomic load + one branch).
-class CtxSpan {
- public:
-  CtxSpan(const char* name, const TraceContext& parent, std::uint64_t label,
-          const char* cat = "ftl") {
-    if (parent.sampled() && tracer().active()) {
-      name_ = name;
-      cat_ = cat;
-      ctx_.trace_id = parent.trace_id;
-      ctx_.span_id = parent.child_span_id(label);
-      parent_span_ = parent.span_id;
-      start_us_ = tracer().now_us();
-    }
-  }
-  ~CtxSpan() {
-    if (name_ != nullptr) {
-      Tracer& t = tracer();
-      t.record_span(name_, cat_, start_us_, t.now_us() - start_us_,
-                    ctx_.trace_id, ctx_.span_id, parent_span_);
-    }
-  }
-  CtxSpan(const CtxSpan&) = delete;
-  CtxSpan& operator=(const CtxSpan&) = delete;
-
-  /// Context for children of this span (unsampled when the span is inert).
-  [[nodiscard]] TraceContext context() const noexcept { return ctx_; }
-
- private:
-  const char* name_ = nullptr;
-  const char* cat_ = nullptr;
-  TraceContext ctx_;
-  std::uint64_t parent_span_ = 0;
-  double start_us_ = 0.0;
-};
-
-/// Thread-safe sliding-window histogram: a ring of time epochs, each a set
-/// of atomic bins. observe() is lock-free on the fast path (relaxed atomic
-/// increment into the current epoch); epoch rotation takes a mutex but
-/// happens at most once per epoch period. flush() recomputes windowed
-/// p50/p95/p99/p999 (and the window sample count) into plain gauges named
+/// Thread-safe sliding-window histogram: a ring of time epochs, each a
+/// Histogram with the window's bins. observe() is lock-free on the fast
+/// path (one relaxed atomic add into the current epoch); epoch rotation
+/// takes a mutex and reset()s the reused epoch, at most once per epoch
+/// period. flush() sums the live epochs once and publishes that one sum's
+/// p50/p95/p99/p999 and sample count as plain gauges named
 /// `<name>.window_p50` etc., so the existing Prometheus serializer exports
-/// them with no new machinery. Quantiles interpolate within bins exactly
-/// like util::Histogram.
+/// them with no new machinery. Quantiles are util::Histogram::quantile over
+/// the summed bins: the midpoint of the bin holding the q-th sample (`lo`
+/// for an empty window), the rule every other quantile in the tree uses.
 ///
 /// Concurrent observers racing a rotation may land a sample in an epoch
 /// being cleared; that is monitoring-grade accuracy by design (same stance
 /// as Histogram::sample()).
 class SlidingHistogram {
  public:
-  /// Window = `window_epochs` epochs of `epoch` wall time each. Gauges are
-  /// registered on `reg` (default: the process-wide registry) under
-  /// `name.window_p50|p95|p99|p999|count` with `labels`.
+  /// Window = `window_epochs` epochs of `epoch` wall time each, binned like
+  /// Histogram(lo, hi, bins). Gauges are registered on `reg` (default: the
+  /// process-wide registry) under `name.window_p50|p95|p99|p999|count` with
+  /// `labels`.
   SlidingHistogram(std::string_view name, double lo, double hi,
                    std::size_t bins, std::size_t window_epochs,
                    std::chrono::milliseconds epoch, Registry* reg = nullptr,
@@ -155,30 +119,26 @@ class SlidingHistogram {
   /// Samples currently inside the window.
   [[nodiscard]] std::uint64_t window_count() const;
 
-  [[nodiscard]] double lo() const noexcept { return lo_; }
-  [[nodiscard]] double hi() const noexcept { return hi_; }
-
   SlidingHistogram(const SlidingHistogram&) = delete;
   SlidingHistogram& operator=(const SlidingHistogram&) = delete;
 
  private:
   struct Epoch {
-    std::unique_ptr<std::atomic<std::uint64_t>[]> bins;
-    std::atomic<std::uint64_t> start_idx{0};  ///< epoch index the bins belong to
+    Epoch(double lo, double hi, std::size_t bins) : hist(lo, hi, bins) {}
+    Histogram hist;
+    /// Epoch index the bins belong to; all-ones = never used.
+    std::atomic<std::uint64_t> start_idx{~std::uint64_t{0}};
   };
 
   /// Epoch index for "now"; rotates the ring forward when time moved on.
   std::size_t current_slot() noexcept;
-  void collect(std::vector<std::uint64_t>& bins_out,
-               std::uint64_t& total_out) const;
+  /// The live epochs summed into one histogram.
+  [[nodiscard]] util::Histogram window() const;
 
-  double lo_;
-  double hi_;
-  std::size_t bins_;
   std::size_t window_epochs_;
   std::chrono::nanoseconds epoch_len_;
   std::chrono::steady_clock::time_point t0_;
-  std::vector<Epoch> ring_;
+  std::deque<Epoch> ring_;  ///< deque: epochs are built in place, never moved
   std::atomic<std::uint64_t> cur_epoch_{0};
   std::mutex rotate_mu_;
 
@@ -193,14 +153,6 @@ class SlidingHistogram {
 
 namespace noop {
 
-struct CtxSpan {
-  CtxSpan(const char*, const TraceContext&, std::uint64_t,
-          const char* = "ftl") noexcept {}
-  CtxSpan(const CtxSpan&) = delete;
-  CtxSpan& operator=(const CtxSpan&) = delete;
-  [[nodiscard]] TraceContext context() const noexcept { return {}; }
-};
-
 struct SlidingHistogram {
   SlidingHistogram(std::string_view, double, double, std::size_t, std::size_t,
                    std::chrono::milliseconds, Registry* = nullptr,
@@ -209,8 +161,6 @@ struct SlidingHistogram {
   void flush() const noexcept {}
   [[nodiscard]] double quantile(double) const noexcept { return 0.0; }
   [[nodiscard]] std::uint64_t window_count() const noexcept { return 0; }
-  [[nodiscard]] double lo() const noexcept { return 0.0; }
-  [[nodiscard]] double hi() const noexcept { return 1.0; }
   SlidingHistogram(const SlidingHistogram&) = delete;
   SlidingHistogram& operator=(const SlidingHistogram&) = delete;
 };
@@ -218,10 +168,8 @@ struct SlidingHistogram {
 }  // namespace noop
 
 #if FTL_OBS_ENABLED
-using CtxSpan = real::CtxSpan;
 using SlidingHistogram = real::SlidingHistogram;
 #else
-using CtxSpan = noop::CtxSpan;
 using SlidingHistogram = noop::SlidingHistogram;
 #endif
 

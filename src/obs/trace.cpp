@@ -41,14 +41,6 @@ void Tracer::record_complete(const char* name, const char* cat, double ts_us,
   events_.push_back(Event{name, cat, 'X', ts_us, dur_us, tid});
 }
 
-void Tracer::record_instant(const char* name, const char* cat) {
-  if (!active()) return;
-  const std::uint64_t tid = this_tid();
-  const double ts = now_us();
-  const std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(Event{name, cat, 'i', ts, 0.0, tid});
-}
-
 void Tracer::record_span(const char* name, const char* cat, double ts_us,
                          double dur_us, std::uint64_t trace_id,
                          std::uint64_t span_id,

@@ -39,8 +39,6 @@ class Tracer {
   /// Appends a complete ("ph":"X") event. No-op when inactive.
   void record_complete(const char* name, const char* cat, double ts_us,
                        double dur_us);
-  /// Appends an instant ("ph":"i") event. No-op when inactive.
-  void record_instant(const char* name, const char* cat);
 
   /// Appends a complete event carrying trace/span/parent ids in its args
   /// (hex strings), joinable across processes by `ftlbench trace-merge`.
@@ -49,9 +47,10 @@ class Tracer {
                    double dur_us, std::uint64_t trace_id,
                    std::uint64_t span_id, std::uint64_t parent_span_id);
 
-  /// Appends an instant event tagged with a trace id and a `stage` arg
-  /// (e.g. the deadline-miss attribution marker). `stage` is not copied:
-  /// string literals only, like span names. No-op when inactive.
+  /// Appends an instant ("ph":"i") event tagged with a trace id and a
+  /// `stage` arg (e.g. the deadline-miss attribution marker). `stage` is
+  /// not copied: string literals only, like span names. No-op when
+  /// inactive.
   void record_instant_tagged(const char* name, const char* cat,
                              std::uint64_t trace_id, const char* stage);
 
@@ -152,7 +151,6 @@ struct Tracer {
   [[nodiscard]] double now_us() const noexcept { return 0.0; }
   void record_complete(const char*, const char*, double, double) const
       noexcept {}
-  void record_instant(const char*, const char*) const noexcept {}
   void record_span(const char*, const char*, double, double, std::uint64_t,
                    std::uint64_t, std::uint64_t) const noexcept {}
   void record_instant_tagged(const char*, const char*, std::uint64_t,

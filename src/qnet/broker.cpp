@@ -31,7 +31,7 @@ BrokerStats simulate_pair_supply(const QnetConfig& cfg, double request_rate_hz,
 
   // Constructing the pool draws the first emission time, so on the shared
   // stream it precedes the first request time.
-  PairPool pool(cfg, cfg.memory_slots, max_storage_s, rng);
+  PairPool pool(cfg, max_storage_s, rng);
   BrokerStats stats;
   double consumed_age_sum = 0.0;
   double win_sum = 0.0;

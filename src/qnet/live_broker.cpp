@@ -25,11 +25,6 @@ LiveBroker::LiveBroker(const LiveBrokerConfig& cfg, std::uint64_t seed)
       m_dropped_full_(obs::registry().counter("qnet.live.pairs.dropped_full")),
       m_consumed_age_(obs::registry().histogram("qnet.live.consumed.age_s",
                                                 0.0, max_storage_s_, 50)),
-      // Age-at-consumption in microseconds: the deadline-attribution view
-      // of the same physics consumed.age_s records in seconds — a scrape
-      // can read pair staleness on the same scale as the stage latencies.
-      m_pair_age_us_(obs::registry().histogram(
-          "qnet.live.pair_age_us", 0.0, max_storage_s_ * 1e6, 50)),
       m_chsh_win_(obs::registry().histogram("qnet.live.chsh_win", 0.5, 1.0,
                                             50)),
       m_occupancy_hw_(
@@ -39,10 +34,10 @@ LiveBroker::LiveBroker(const LiveBrokerConfig& cfg, std::uint64_t seed)
   FTL_ASSERT_MSG(max_storage_s_ > 0.0,
                  "source visibility too low for any quantum advantage");
   util::Rng master(seed);
-  const std::size_t slots = cfg_.slots_per_source();
+  const std::size_t slots = cfg.qnet.memory_slots;
   sources_.reserve(cfg.sources);
   for (std::size_t i = 0; i < cfg.sources; ++i) {
-    auto s = std::make_unique<Source>(cfg_.qnet, slots, max_storage_s_,
+    auto s = std::make_unique<Source>(cfg_.qnet, max_storage_s_,
                                       master.split(i));
     s->occupancy = &obs::registry().histogram(
         "qnet.live.pool_occupancy", 0.0,
@@ -116,7 +111,6 @@ LiveBroker::Decision LiveBroker::decide(std::size_t source, std::uint8_t input,
     s.consumed_age_sum_s += *age;
     m_hits_.inc();
     m_consumed_age_.observe(*age);
-    m_pair_age_us_.observe(*age * 1e6);
     s.occupancy->observe(static_cast<double>(s.pool.size()));
   } else {
     // Classical fallback: the pre-agreed deterministic strategy (output

@@ -46,20 +46,15 @@
 namespace ftl::qnet {
 
 struct LiveBrokerConfig {
-  /// Physics of each source: emission rate, fiber, visibility, T1/T2.
+  /// Physics of each source: emission rate, fiber, visibility, T1/T2, and
+  /// the QNIC slots of its pool (qnet.memory_slots).
   QnetConfig qnet;
   /// Independent pair sources (one pool, RNG stream, and emission process
   /// each). A deployment maps each coordinating endpoint pair to a source.
   std::size_t sources = 1;
-  /// QNIC slots per source pool; 0 means use qnet.memory_slots.
-  std::size_t pool_slots = 0;
   /// Admission bound: decisions in flight beyond this are rejected
   /// (bounded-queue backpressure instead of unbounded latency collapse).
   std::size_t max_pending = 1 << 16;
-
-  [[nodiscard]] std::size_t slots_per_source() const {
-    return pool_slots == 0 ? qnet.memory_slots : pool_slots;
-  }
 };
 
 /// Aggregated broker statistics (sum over sources at a point in time).
@@ -173,9 +168,8 @@ class LiveBroker {
   /// already provide the lock-free live view); stats() sums them. Padded
   /// to a cache line so per-source mutexes do not false-share.
   struct alignas(64) Source {
-    Source(const QnetConfig& q, std::size_t slots, double max_storage_s,
-           util::Rng stream)
-        : rng(stream), pool(q, slots, max_storage_s, rng) {}
+    Source(const QnetConfig& q, double max_storage_s, util::Rng stream)
+        : rng(stream), pool(q, max_storage_s, rng) {}
 
     std::mutex mu;
     util::Rng rng;
@@ -221,7 +215,6 @@ class LiveBroker {
   obs::Counter& m_expired_;
   obs::Counter& m_dropped_full_;
   obs::Histogram& m_consumed_age_;
-  obs::Histogram& m_pair_age_us_;
   obs::Histogram& m_chsh_win_;
   obs::Gauge& m_occupancy_hw_;
 };

@@ -12,15 +12,15 @@ double storage_limit_s(const QnetConfig& cfg, double v0) {
                   useful_storage_window_s(v0, cfg.memory_t1_s, cfg.memory_t2_s));
 }
 
-PairPool::PairPool(const QnetConfig& cfg, std::size_t slots,
-                   double max_storage_s, util::Rng& rng)
-    : ring_(slots),
+PairPool::PairPool(const QnetConfig& cfg, double max_storage_s,
+                   util::Rng& rng)
+    : ring_(cfg.memory_slots),
       next_emit_s_(rng.exponential(cfg.pair_rate_hz)),
       pair_rate_hz_(cfg.pair_rate_hz),
       deliver_p_(cfg.pair_delivery_probability()),
       delay_s_(cfg.propagation_delay_s()),
       max_storage_s_(max_storage_s) {
-  FTL_ASSERT_MSG(slots > 0, "a pair pool needs at least one QNIC slot");
+  FTL_ASSERT_MSG(!ring_.empty(), "a pair pool needs at least one QNIC slot");
 }
 
 void PairPool::evict_expired(double now_s) {

@@ -58,10 +58,9 @@ template <typename Stats>
 class PairPool {
  public:
   /// Emission physics from `cfg` (pair rate, fiber loss and delay), a store
-  /// of `slots` pairs, and the storage limit (see storage_limit_s). Draws
-  /// the first emission time from `rng`.
-  PairPool(const QnetConfig& cfg, std::size_t slots, double max_storage_s,
-           util::Rng& rng);
+  /// of cfg.memory_slots pairs, and the storage limit (see
+  /// storage_limit_s). Draws the first emission time from `rng`.
+  PairPool(const QnetConfig& cfg, double max_storage_s, util::Rng& rng);
 
   /// Resolves every emission whose arrival time is <= now_s (one fiber-loss
   /// draw and one inter-emission draw each, in that order), then evicts

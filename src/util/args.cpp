@@ -57,8 +57,7 @@ bool is_value_token(std::string_view token) {
   return end != s.c_str() && *end == '\0';
 }
 
-Args::Args(int argc, const char* const* argv, bool allow_unknown) {
-  (void)allow_unknown;  // reserved; all flags are currently accepted
+Args::Args(int argc, const char* const* argv) {
   FTL_ASSERT(argc >= 1);
   program_ = argv[0];
   for (int i = 1; i < argc; ++i) {

@@ -1,9 +1,11 @@
 // Minimal command-line flag parser for the example binaries.
 //
 // Supports `--name value`, `--name=value`, `--flag` (boolean), and bare
-// positional arguments, with typed accessors and defaults. Unknown flags
-// are an error so typos fail loudly; `--help` support is left to callers
-// (usage() renders the registered flags).
+// positional arguments, with typed accessors and defaults. There is no
+// flag registry: a flag no accessor reads is ignored, so a misspelt or
+// retired flag silently keeps its default. Malformed values of flags that
+// are read fail loudly (see parse_double). `--help` support is left to
+// callers.
 #pragma once
 
 #include <cstdint>
@@ -32,10 +34,8 @@ namespace ftl::util {
 
 class Args {
  public:
-  /// Parses argv; aborts with a message on malformed input. Register the
-  /// allowed flags first via the describe() builder on a default-built
-  /// object, or pass allow_unknown = true to accept anything.
-  Args(int argc, const char* const* argv, bool allow_unknown = false);
+  /// Parses argv; aborts with a message on malformed input (a bare `--`).
+  Args(int argc, const char* const* argv);
 
   /// True if `--name` appeared (with or without a value).
   [[nodiscard]] bool has(const std::string& name) const;

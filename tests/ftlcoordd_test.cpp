@@ -64,6 +64,25 @@ TEST(Ftlcoordd, StartServeStop) {
 
   daemon.stop();
   EXPECT_FALSE(daemon.running());
+
+  // One latency sample per served decision. The daemon observes a frame's
+  // latency after writing its reply, so the count is whole only after
+  // stop(). The registry is process-wide; the identity holds across every
+  // stopped daemon of this binary.
+  if (obs::kEnabled) {
+    const obs::Snapshot snap = obs::registry().snapshot();
+    std::uint64_t requests = 0;
+    for (const auto& c : snap.counters) {
+      if (c.name == "qnet.live.requests") requests = c.value;
+    }
+    std::size_t latency_samples = 0;
+    for (const auto& h : snap.histograms) {
+      EXPECT_NE(h.name, "qnet.live.pair_age_us");
+      if (h.name == "qnet.live.decision_latency_s") latency_samples = h.total;
+    }
+    EXPECT_GE(requests, result.decisions_ok);
+    EXPECT_EQ(latency_samples, requests);
+  }
 }
 
 TEST(Ftlcoordd, StopIsIdempotentAndRestartable) {
@@ -90,21 +109,21 @@ TEST(Ftlcoordd, MalformedFramesGetStatusNotDisconnect) {
 
   // Truncated decide body.
   ASSERT_TRUE(write_frame(
-      fd, {static_cast<std::uint8_t>(MsgType::kDecide), 0x00, 0x00}));
+      fd, {static_cast<std::uint8_t>(MsgType::kDecideV2), 0x00, 0x00}));
   ASSERT_TRUE(read_frame(fd, payload));
   EXPECT_EQ(static_cast<Status>(payload.at(0)), Status::kMalformed);
 
   // Out-of-range source index.
-  DecideRequest req;
+  DecideRequestV2 req;
   req.source = 99;
   req.inputs = {0, 1};
-  ASSERT_TRUE(write_frame(fd, encode_decide_request(req)));
+  ASSERT_TRUE(write_frame(fd, encode_decide_request_v2(req)));
   ASSERT_TRUE(read_frame(fd, payload));
   EXPECT_EQ(static_cast<Status>(payload.at(0)), Status::kMalformed);
 
   // The connection must still serve a valid request afterwards.
   req.source = 0;
-  ASSERT_TRUE(write_frame(fd, encode_decide_request(req)));
+  ASSERT_TRUE(write_frame(fd, encode_decide_request_v2(req)));
   ASSERT_TRUE(read_frame(fd, payload));
   const auto entries = decode_decide_response(payload);
   ASSERT_TRUE(entries.has_value());
@@ -122,11 +141,11 @@ TEST(Ftlcoordd, OversizedBatchIsRejectedByAdmission) {
   const int fd = connect_tcp("127.0.0.1", daemon.port());
   ASSERT_GE(fd, 0);
 
-  DecideRequest req;
+  DecideRequestV2 req;
   req.source = 0;
   req.inputs.assign(64, 0);  // 64 > max_pending
   std::vector<std::uint8_t> payload;
-  ASSERT_TRUE(write_frame(fd, encode_decide_request(req)));
+  ASSERT_TRUE(write_frame(fd, encode_decide_request_v2(req)));
   ASSERT_TRUE(read_frame(fd, payload));
   Status status = Status::kOk;
   EXPECT_FALSE(decode_decide_response(payload, &status).has_value());
@@ -144,11 +163,11 @@ TEST(Ftlcoordd, MetricsPortServesPrometheusText) {
   // Drive a little traffic so the scrape has non-zero counters.
   const int dfd = connect_tcp("127.0.0.1", daemon.port());
   ASSERT_GE(dfd, 0);
-  DecideRequest req;
+  DecideRequestV2 req;
   req.source = 0;
   req.inputs.assign(32, 1);
   std::vector<std::uint8_t> payload;
-  ASSERT_TRUE(write_frame(dfd, encode_decide_request(req)));
+  ASSERT_TRUE(write_frame(dfd, encode_decide_request_v2(req)));
   ASSERT_TRUE(read_frame(dfd, payload));
   close_fd(dfd);
 
@@ -282,12 +301,12 @@ TEST(FtlcoorddHttp, ProfileEndpointReturnsFoldedStacks) {
   std::thread client([&] {
     const int fd = connect_tcp("127.0.0.1", daemon.port());
     if (fd < 0) return;
-    DecideRequest req;
+    DecideRequestV2 req;
     req.source = 0;
     req.inputs.assign(256, 1);
     std::vector<std::uint8_t> payload;
     while (!stop_client.load()) {
-      if (!write_frame(fd, encode_decide_request(req))) break;
+      if (!write_frame(fd, encode_decide_request_v2(req))) break;
       if (!read_frame(fd, payload)) break;
     }
     close_fd(fd);
@@ -403,41 +422,35 @@ TEST(Ftlcoordd, DecideV2StaleTimestampSetsDeadlineMissBit) {
   daemon.stop();
 }
 
-TEST(Ftlcoordd, V1AndV2FramesInterleaveOnOneConnection) {
+TEST(Ftlcoordd, RetiredV1DecideFrameIsMalformedNotFatal) {
   Daemon daemon(test_config());
   ASSERT_TRUE(daemon.start());
   const int fd = connect_tcp("127.0.0.1", daemon.port());
   ASSERT_GE(fd, 0);
 
+  // A well-formed v1 decide payload (type 1, u32 source 0, u32 count 3,
+  // three input bytes): the type is retired, so it is answered like any
+  // unknown type.
   std::vector<std::uint8_t> payload;
-  // Old client first: the v1 frame must keep working against the new
-  // daemon, byte for byte.
-  DecideRequest v1;
-  v1.source = 0;
-  v1.inputs = {1, 0, 1};
-  ASSERT_TRUE(write_frame(fd, encode_decide_request(v1)));
+  ASSERT_TRUE(write_frame(fd, {0x01, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00,
+                               0x00, 0x00, 0x01, 0x00, 0x01}));
   ASSERT_TRUE(read_frame(fd, payload));
-  const auto v1_entries = decode_decide_response(payload);
-  ASSERT_TRUE(v1_entries.has_value());
-  EXPECT_EQ(v1_entries->size(), 3u);
-  for (const DecisionEntry& e : *v1_entries) {
-    // v1 has no deadline, so the v2-only bit can never be set.
-    EXPECT_EQ(e.flags & DecisionEntry::kDeadlineMissBit, 0);
-  }
+  ASSERT_EQ(payload.size(), 1u);
+  EXPECT_EQ(static_cast<Status>(payload.at(0)), Status::kMalformed);
 
+  // The same connection then serves a v2 frame; without a deadline the
+  // miss bit is never set.
   DecideRequestV2 v2;
   v2.source = 0;
-  v2.client_send_steady_ns = now_steady_ns();
-  v2.deadline_us = 10'000'000;
-  v2.inputs = {0, 1};
+  v2.inputs = {1, 0, 1};
   ASSERT_TRUE(write_frame(fd, encode_decide_request_v2(v2)));
   ASSERT_TRUE(read_frame(fd, payload));
-  EXPECT_EQ(decode_decide_response(payload)->size(), 2u);
-
-  // And back to v1 on the same connection.
-  ASSERT_TRUE(write_frame(fd, encode_decide_request(v1)));
-  ASSERT_TRUE(read_frame(fd, payload));
-  EXPECT_EQ(decode_decide_response(payload)->size(), 3u);
+  const auto entries = decode_decide_response(payload);
+  ASSERT_TRUE(entries.has_value());
+  EXPECT_EQ(entries->size(), 3u);
+  for (const DecisionEntry& e : *entries) {
+    EXPECT_EQ(e.flags & DecisionEntry::kDeadlineMissBit, 0);
+  }
 
   close_fd(fd);
   daemon.stop();
@@ -474,7 +487,7 @@ TEST(Ftlcoordd, SampledV2BatchRecordsParentedServerSpans) {
   // sampled v2 batch produces are directly inspectable.
   auto& tracer = obs::real::tracer();
   tracer.start();
-  Daemon daemon(test_config());  // trace_sample_n defaults to 1
+  Daemon daemon(test_config());
   ASSERT_TRUE(daemon.start());
   const int fd = connect_tcp("127.0.0.1", daemon.port());
   ASSERT_GE(fd, 0);

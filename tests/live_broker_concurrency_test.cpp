@@ -24,7 +24,7 @@ LiveBrokerConfig concurrent_config() {
   cfg.qnet.memory_t2_s = 10.0;
   cfg.qnet.max_storage_s = 1.0;
   cfg.sources = 4;
-  cfg.pool_slots = 256;
+  cfg.qnet.memory_slots = 256;
   return cfg;
 }
 

@@ -22,7 +22,7 @@ LiveBrokerConfig no_expiry_config(double pair_rate_hz,
   cfg.qnet.memory_t1_s = 50.0;
   cfg.qnet.memory_t2_s = 10.0;
   cfg.qnet.max_storage_s = 1.0;
-  cfg.pool_slots = slots;
+  cfg.qnet.memory_slots = slots;
   return cfg;
 }
 

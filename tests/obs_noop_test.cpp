@@ -25,7 +25,6 @@ static_assert(std::is_empty_v<noop::Registry>);
 static_assert(std::is_empty_v<noop::Tracer>);
 static_assert(std::is_empty_v<noop::ScopedSpan>);
 static_assert(std::is_empty_v<noop::ScopedHistogramTimer>);
-static_assert(std::is_empty_v<noop::CtxSpan>);
 static_assert(std::is_empty_v<noop::SlidingHistogram>);
 static_assert(std::is_empty_v<noop::Profiler>);
 static_assert(std::is_empty_v<noop::ProfileStage>);
@@ -34,7 +33,6 @@ static_assert(std::is_empty_v<noop::ProfileStage>);
 // aliases were probably mis-wired.
 static_assert(!std::is_empty_v<ftl::obs::real::Counter>);
 static_assert(!std::is_empty_v<ftl::obs::real::Histogram>);
-static_assert(!std::is_empty_v<ftl::obs::real::CtxSpan>);
 static_assert(!std::is_empty_v<ftl::obs::real::SlidingHistogram>);
 static_assert(!std::is_empty_v<ftl::obs::real::Profiler>);
 static_assert(!std::is_empty_v<ftl::obs::real::ProfileStage>);
@@ -86,18 +84,12 @@ TEST(ObsNoop, ScopedTypesConstructAndDestruct) {
   }
   noop::Tracer& t = noop::tracer();
   t.start();
-  t.record_instant("x", "y");
+  t.record_instant_tagged("x", "y", 1, "stage");
   EXPECT_FALSE(t.active());
   EXPECT_EQ(t.size(), 0u);
 }
 
 TEST(ObsNoop, SpanCtxTwinsAreInert) {
-  const ftl::obs::TraceContext ctx =
-      ftl::obs::TraceContext::derive(42, 0, 0);
-  {
-    noop::CtxSpan span("stage", ctx, 3);
-    EXPECT_FALSE(span.context().sampled());
-  }
   noop::SlidingHistogram h("w", 0.0, 10.0, 10, 4,
                            std::chrono::milliseconds(100));
   h.observe(1.0);

@@ -1,4 +1,4 @@
-// TraceContext derivation, parented CtxSpan recording, and the sliding-
+// TraceContext derivation, parented span recording, and the sliding-
 // window histogram: determinism of the ids, correctness of the emitted
 // args, and windowed-percentile publication through the gauge path.
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@ namespace json = ftl::obs::json;
 using ftl::obs::parse_trace_id_hex;
 using ftl::obs::TraceContext;
 using ftl::obs::trace_id_hex;
-using ftl::obs::real::CtxSpan;
 using ftl::obs::real::SlidingHistogram;
 using ftl::obs::real::Tracer;
 
@@ -71,11 +70,13 @@ TEST(TraceContext, HexRoundTrips) {
   EXPECT_EQ(parse_trace_id_hex("00112233445566778899"), 0u);  // too long
 }
 
-TEST(CtxSpan, RecordsParentedSpanWithArgs) {
+TEST(RecordSpan, RecordsParentedSpanWithArgs) {
   Tracer& t = ftl::obs::real::tracer();
   t.start();
   const TraceContext parent = TraceContext::derive(42, 1, 2);
-  { CtxSpan span("stage_a", parent, /*label=*/5, "testcat"); }
+  const TraceContext child = parent.child(/*label=*/5);
+  t.record_span("stage_a", "testcat", t.now_us(), 1.5, child.trace_id,
+                child.span_id, parent.span_id);
   t.stop();
   ASSERT_EQ(t.size(), 1u);
 
@@ -94,6 +95,8 @@ TEST(CtxSpan, RecordsParentedSpanWithArgs) {
   const json::Value& e = events->array[0];
   EXPECT_EQ(e.find("name")->string, "stage_a");
   EXPECT_EQ(e.find("cat")->string, "testcat");
+  EXPECT_EQ(e.find("ph")->string, "X");
+  EXPECT_EQ(e.find("dur")->number, 1.5);
   const json::Value* args = e.find("args");
   ASSERT_NE(args, nullptr);
   EXPECT_EQ(parse_trace_id_hex(args->find("trace_id")->string),
@@ -102,18 +105,6 @@ TEST(CtxSpan, RecordsParentedSpanWithArgs) {
             parent.child_span_id(5));
   EXPECT_EQ(parse_trace_id_hex(args->find("parent_span_id")->string),
             parent.span_id);
-}
-
-TEST(CtxSpan, UnsampledParentIsInert) {
-  Tracer& t = ftl::obs::real::tracer();
-  t.start();
-  const TraceContext unsampled;  // trace_id 0
-  {
-    CtxSpan span("never", unsampled, 0);
-    EXPECT_FALSE(span.context().sampled());
-  }
-  t.stop();
-  EXPECT_EQ(t.size(), 0u);
 }
 
 TEST(SlidingHistogram, QuantilesOverTheLiveWindow) {
@@ -182,10 +173,33 @@ double gauge_value(const ftl::obs::Snapshot& snap, std::string_view name) {
   return -1.0;
 }
 
+TEST(SlidingHistogram, WindowQuantilesMatchCumulativeHistogram) {
+  // One window and one cumulative histogram over the same bins and samples
+  // must publish the same quantiles: both take the midpoint of the bin that
+  // holds the q-th sample (0..999 in 10-wide bins: p50 = 495, not 500).
+  ftl::obs::real::Registry reg;
+  SlidingHistogram window("same", 0.0, 1000.0, 100, /*window_epochs=*/1,
+                          std::chrono::milliseconds(60000), &reg);
+  ftl::obs::real::Histogram cumulative(0.0, 1000.0, 100);
+  for (int i = 0; i < 1000; ++i) {
+    window.observe(static_cast<double>(i));
+    cumulative.observe(static_cast<double>(i));
+  }
+  window.flush();
+  const ftl::obs::Snapshot snap = reg.snapshot();
+  const ftl::util::Histogram want = cumulative.snapshot();
+  EXPECT_EQ(gauge_value(snap, "same.window_p50"), want.quantile(0.50));
+  EXPECT_EQ(gauge_value(snap, "same.window_p95"), want.quantile(0.95));
+  EXPECT_EQ(gauge_value(snap, "same.window_p99"), want.quantile(0.99));
+  EXPECT_EQ(gauge_value(snap, "same.window_p999"), want.quantile(0.999));
+  EXPECT_EQ(gauge_value(snap, "same.window_count"),
+            static_cast<double>(want.total()));
+}
+
 TEST(SlidingHistogramStaleness, UnflushedReadsDecayAfterIdleGap) {
   ftl::obs::real::Registry reg;
   // 2-epoch window of 25 ms epochs; nothing rotates the ring after the
-  // burst — collect() itself must age the window out.
+  // burst — reading the window itself must age it out.
   SlidingHistogram h("idle_us", 0.0, 100.0, 50, /*window_epochs=*/2,
                      std::chrono::milliseconds(25), &reg);
   for (int i = 0; i < 40; ++i) h.observe(50.0);

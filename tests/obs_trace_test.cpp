@@ -31,7 +31,7 @@ TEST(ObsTracer, InactiveRecordsNothing) {
   t.stop();
   const std::size_t before = t.size();
   t.record_complete("x", "cat", 0.0, 1.0);
-  t.record_instant("y", "cat");
+  t.record_instant_tagged("y", "cat", 1, "stage");
   { ScopedSpan span("scoped", "cat"); }
   EXPECT_EQ(t.size(), before);
 }
@@ -43,7 +43,7 @@ TEST(ObsTracer, CollectsSpansWhileActive) {
     ScopedSpan outer("outer", "test");
     ScopedSpan inner("inner", "test");
   }
-  t.record_instant("marker", "test");
+  t.record_instant_tagged("marker", "test", 1, "stage");
   t.stop();
   EXPECT_EQ(t.size(), 3u);
 
@@ -78,7 +78,7 @@ TEST(ObsTracer, CollectsSpansWhileActive) {
 TEST(ObsTracer, StartClearsPreviousBuffer) {
   Tracer& t = ftl::obs::real::tracer();
   t.start();
-  t.record_instant("old", "test");
+  t.record_instant_tagged("old", "test", 1, "stage");
   t.stop();
   ASSERT_GE(t.size(), 1u);
   t.start();

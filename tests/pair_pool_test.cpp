@@ -90,11 +90,11 @@ qnet::LiveBrokerConfig live_cfg(const std::string& kind) {
   } else if (kind == "expiring") {
     cfg.qnet.pair_rate_hz = 2e4;
     cfg.qnet.memory_t2_s = 20e-6;
-    cfg.pool_slots = 4;
+    cfg.qnet.memory_slots = 4;
   } else {  // full
     cfg.qnet.pair_rate_hz = 1e5;
     cfg.qnet.fiber_km = 0.0;
-    cfg.pool_slots = 1;
+    cfg.qnet.memory_slots = 1;
     cfg.sources = 3;
   }
   return cfg;

@@ -168,6 +168,16 @@ TEST(Args, ValidValuesStillParseAfterHardening) {
   EXPECT_EQ(a.get("servers", static_cast<std::size_t>(0)), 86u);
 }
 
+TEST(Args, FlagsNobodyReadsAreIgnored) {
+  // There is no flag registry: an unknown or retired flag parses without
+  // complaint and every flag that is read keeps working beside it.
+  const Args a = parse({"prog", "--retired-knob", "200", "--typo=x",
+                        "--servers", "86"});
+  EXPECT_EQ(a.get("servers", static_cast<std::size_t>(0)), 86u);
+  EXPECT_EQ(a.get("rate", 1.5), 1.5);
+  EXPECT_TRUE(a.positional().empty());
+}
+
 TEST(Args, NegativeNumberPositional) {
   const Args a = parse({"prog", "-5", "file.csv"});
   ASSERT_EQ(a.positional().size(), 2u);

@@ -421,7 +421,7 @@ int cmd_profile_diff(const util::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv, /*allow_unknown=*/true);
+  const util::Args args(argc, argv);
   if (args.positional().empty()) return usage(std::cerr);
   const std::string& cmd = args.positional()[0];
   if (cmd == "run") return cmd_run(args);

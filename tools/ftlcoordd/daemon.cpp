@@ -42,6 +42,11 @@ constexpr std::chrono::milliseconds kWindowEpochLen{1000};
 /// span, stages follow at 1 + stage index.
 constexpr std::uint64_t kRootSpanLabel = 0;
 
+/// Refill cadence of the broker's producer thread. decide() resolves every
+/// arrival up to the request time itself, so the producer only keeps
+/// eviction and the pair metrics fresh across idle spells.
+constexpr std::chrono::microseconds kProducerPeriod{200};
+
 std::uint64_t steady_ns(Clock::time_point tp) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -213,7 +218,7 @@ bool Daemon::start() {
   metrics_port_ = bound_port(metrics_listen_fd_);
   stopping_.store(false);
   running_.store(true);
-  broker_->start_producer(cfg_.producer_period);
+  broker_->start_producer(kProducerPeriod);
   acceptor_ = std::thread([this] { accept_loop(); });
   metrics_acceptor_ = std::thread([this] { metrics_loop(); });
   return true;
@@ -478,8 +483,8 @@ bool Daemon::handle_decide(int fd, DecideRequestV2& req,
     }
   }
 
-  // Stage latency, cumulative and windowed. One weighted observation per
-  // decision keeps qnet.live.decision_latency_s per-decision.
+  // Stage latency, cumulative and windowed. One weighted observation of n
+  // samples keeps qnet.live.decision_latency_s per-decision.
   const double stage_us[kNumStages] = {
       std::chrono::duration<double, std::micro>(t_read - t_loop).count(),
       std::chrono::duration<double, std::micro>(t_admit - t_read).count(),
@@ -493,18 +498,14 @@ bool Daemon::handle_decide(int fd, DecideRequestV2& req,
   const double per_decision_s =
       std::chrono::duration<double>(t_acquire - t_admit).count() /
       static_cast<double>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    m_decision_latency_.observe(per_decision_s);
-  }
+  m_decision_latency_.observe(per_decision_s, n);
 
-  // Stage spans for sampled traced batches: a server root span parented to
-  // the client's batch span, one child per stage. Ids derive from the
-  // propagated context, so they are stable for a stepped schedule.
+  // Stage spans for every batch the client traced (sampling is the
+  // client's choice): a server root span parented to the client's batch
+  // span, one child per stage. Ids derive from the propagated context, so
+  // they are stable for a stepped schedule.
   obs::Tracer& tracer = obs::tracer();
-  if (req.trace_id != 0 && cfg_.trace_sample_n > 0 && tracer.active() &&
-      traced_batches_.fetch_add(1, std::memory_order_relaxed) %
-              cfg_.trace_sample_n ==
-          0) {
+  if (req.trace_id != 0 && tracer.active()) {
     const obs::TraceContext client_ctx{req.trace_id, req.parent_span_id};
     const obs::TraceContext root = client_ctx.child(kRootSpanLabel);
     tracer.record_span("serve_batch", "coordd", tracer.ts_us(t_loop),
@@ -552,30 +553,16 @@ void Daemon::handle_connection(int fd) {
       continue;
     }
     switch (type) {
-      case MsgType::kDecide:
       case MsgType::kDecideV2: {
-        // Both protocol versions funnel into the same pipeline; a v1
-        // frame simply has no trace context and no deadline.
-        DecideRequestV2 req;
-        bool decoded = false;
-        if (type == MsgType::kDecide) {
-          if (auto v1 = decode_decide_request(r)) {
-            req.source = v1->source;
-            req.inputs = std::move(v1->inputs);
-            decoded = true;
-          }
-        } else if (auto v2 = decode_decide_request_v2(r)) {
-          req = std::move(*v2);
-          decoded = true;
-        }
-        if (!decoded || req.source >= cfg_.broker.sources) {
+        auto req = decode_decide_request_v2(r);
+        if (!req || req->source >= cfg_.broker.sources) {
           m_malformed_.inc();
           if (!write_frame(fd, encode_status_response(Status::kMalformed))) {
             return cleanup(fd);
           }
           break;
         }
-        if (!handle_decide(fd, req, t_loop, t_read, entries, decisions)) {
+        if (!handle_decide(fd, *req, t_loop, t_read, entries, decisions)) {
           return cleanup(fd);
         }
         break;

@@ -37,9 +37,9 @@
 namespace ftl::coordd {
 
 /// Decision-pipeline stages, in request order. Every batch is timed per
-/// stage (cumulative + sliding-window histograms), and a v2 request's
-/// deadline miss is attributed to the stage whose boundary first saw the
-/// budget exhausted.
+/// stage (cumulative + sliding-window histograms), and a request's deadline
+/// miss is attributed to the stage whose boundary first saw the budget
+/// exhausted.
 enum class Stage : std::uint8_t {
   kSocketRead = 0,   ///< blocked in read_frame (wire + socket wait)
   kAdmission = 1,    ///< decode + admission control
@@ -57,12 +57,6 @@ struct DaemonConfig {
   std::uint16_t metrics_port = 0;
   qnet::LiveBrokerConfig broker;
   std::uint64_t seed = 42;
-  /// Pair-pool refill cadence of the broker's producer thread.
-  std::chrono::microseconds producer_period{200};
-  /// Record stage spans for 1 of every N *sampled* batches (batches whose
-  /// v2 frame carries a nonzero trace id). 0 disables span recording
-  /// entirely; stage histograms and deadline counters are always on.
-  std::uint64_t trace_sample_n = 1;
 };
 
 class Daemon {
@@ -93,8 +87,9 @@ class Daemon {
   void handle_connection(int fd);
   /// Runs one decide batch through the staged pipeline (admission → pair
   /// acquire → decide → reply write), timing each stage, attributing any
-  /// deadline miss, and recording sampled stage spans. `t_loop`/`t_read`
-  /// bracket the socket-read stage. False when the connection died.
+  /// deadline miss, and recording stage spans for a traced batch.
+  /// `t_loop`/`t_read` bracket the socket-read stage. False when the
+  /// connection died.
   bool handle_decide(int fd, DecideRequestV2& req,
                      std::chrono::steady_clock::time_point t_loop,
                      std::chrono::steady_clock::time_point t_read,
@@ -146,7 +141,7 @@ class Daemon {
   obs::Histogram* m_stage_us_[kNumStages];
   std::unique_ptr<obs::SlidingHistogram> m_stage_window_[kNumStages];
 
-  // Deadline accounting (v2 requests with a nonzero budget): batches that
+  // Deadline accounting (requests with a nonzero budget): batches that
   // met the budget through reply write, and misses attributed to the stage
   // that exhausted it.
   obs::Counter& m_deadline_hit_;
@@ -154,8 +149,6 @@ class Daemon {
 
   // On-demand /profile requests served (any status).
   obs::Counter& m_profile_requests_;
-
-  std::atomic<std::uint64_t> traced_batches_{0};
 };
 
 }  // namespace ftl::coordd

@@ -32,7 +32,7 @@ void print_usage(const char* prog) {
                "                         also serves GET /profile?seconds=N&hz=H — an on-demand\n"
                "                         CPU profile as FlameGraph folded stacks\n"
                "  --sources N            independent pair sources (default 1)\n"
-               "  --slots N              QNIC slots per source (default: qnet memory_slots)\n"
+               "  --slots N              QNIC slots per source (default 8)\n"
                "  --max-pending N        admission bound on in-flight decisions (default 65536)\n"
                "  --pair-rate HZ         source pair rate, pairs/s (default 1e5)\n"
                "  --fiber-km KM          one-way fiber length (default 0.5)\n"
@@ -40,15 +40,13 @@ void print_usage(const char* prog) {
                "  --t1-us US             memory T1 (default 500)\n"
                "  --t2-us US             memory T2 (default 100)\n"
                "  --max-storage-us US    storage cutoff (default 200)\n"
-               "  --producer-period-us US pool refill cadence (default 200)\n"
                "  --seed N               RNG seed (default 42)\n"
                "  --duration S           seconds to serve; 0 = until SIGINT/SIGTERM\n"
                "  --metrics-out PATH     write an ftl.obs.run_report/v1 JSON on exit\n"
                "  --snapshot-out PATH    append ftl.obs.snapshot/v1 JSONL while serving\n"
                "  --snapshot-every-ms MS snapshot cadence (default 1000; needs --snapshot-out)\n"
-               "  --trace-out PATH       write a Chrome/Perfetto trace JSON on exit\n"
-               "  --trace-sample-n N     record stage spans for 1 of every N traced\n"
-               "                         batches (default 1; needs --trace-out)\n",
+               "  --trace-out PATH       write a Chrome/Perfetto trace JSON on exit;\n"
+               "                         stage spans for every frame the client traced\n",
                prog);
 }
 
@@ -66,10 +64,9 @@ int main(int argc, char** argv) {
   cfg.metrics_port =
       static_cast<std::uint16_t>(args.get("metrics-port", 7401LL));
   cfg.seed = static_cast<std::uint64_t>(args.get("seed", 42LL));
-  cfg.producer_period =
-      std::chrono::microseconds(args.get("producer-period-us", 200LL));
   cfg.broker.sources = args.get("sources", std::size_t{1});
-  cfg.broker.pool_slots = args.get("slots", std::size_t{0});
+  cfg.broker.qnet.memory_slots =
+      args.get("slots", cfg.broker.qnet.memory_slots);
   cfg.broker.max_pending = args.get("max-pending", std::size_t{1} << 16);
   cfg.broker.qnet.pair_rate_hz = args.get("pair-rate", 1.0e5);
   cfg.broker.qnet.fiber_km = args.get("fiber-km", 0.5);
@@ -77,8 +74,6 @@ int main(int argc, char** argv) {
   cfg.broker.qnet.memory_t1_s = args.get("t1-us", 500.0) * 1e-6;
   cfg.broker.qnet.memory_t2_s = args.get("t2-us", 100.0) * 1e-6;
   cfg.broker.qnet.max_storage_s = args.get("max-storage-us", 200.0) * 1e-6;
-  cfg.trace_sample_n =
-      static_cast<std::uint64_t>(args.get("trace-sample-n", 1LL));
   const double duration_s = args.get("duration", 0.0);
   const std::string trace_out = args.get("trace-out", std::string());
   if (!trace_out.empty()) ftl::obs::tracer().start();

@@ -3,22 +3,23 @@
 //
 // Frame:      u32 payload length (little-endian), then the payload.
 // Request:    u8 message type, then a type-specific body.
-//   kDecide   u32 source, u32 count, u8 inputs[count] — ask for `count`
-//             coordination decisions against one pair source. Batching is
-//             the point: one frame amortizes the syscall/RTT over hundreds
-//             of decisions, which is how the loadgen reaches millions of
-//             decisions per second on a local socket.
+//   kDecideV2 u32 source, u64 trace id, u64 parent span id, u64 client
+//             send timestamp (steady-clock ns), u32 deadline budget (us),
+//             u32 count, u8 inputs[count] — ask for `count` coordination
+//             decisions against one pair source. Batching is the point:
+//             one frame amortizes the syscall/RTT over hundreds of
+//             decisions, which is how the loadgen reaches millions of
+//             decisions per second on a local socket. Trace id 0 and
+//             deadline 0 mean an untraced frame without a budget.
 //   kReport   u32 source, u32 wins, u32 losses — endpoints report game
 //             outcomes back; the daemon only counts them (metrics).
 //   kStats    empty body — returns the broker's aggregated counters.
-//   kDecideV2 u32 source, u64 trace id, u64 parent span id, u64 client
-//             send timestamp (steady-clock ns), u32 deadline budget (us),
-//             u32 count, u8 inputs[count] — the traced, deadline-aware
-//             decide frame. Old (v1) clients keep sending kDecide.
+//   Any other type (including the retired v1 decide frame, type 1) is
+//   answered kMalformed and the connection stays open.
 // Response:   u8 status, then a status/type-specific body.
 //   kOk + Decide: u32 count, then per decision u8 flags (bit0 = output
-//             bit, bit1 = consumed a live pair, bit2 = round won) and
-//             u16 win probability in 1/65535 units.
+//             bit, bit1 = consumed a live pair, bit2 = round won, bit3 =
+//             deadline missed) and u16 win probability in 1/65535 units.
 //   kRejected: empty body — admission control refused the batch
 //             (bounded-queue backpressure); the client backs off.
 //   kMalformed: empty body — undecodable frame or bad source index.
@@ -41,16 +42,10 @@ namespace ftl::coordd {
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 22;  // 4 MiB cap
 
 enum class MsgType : std::uint8_t {
-  kDecide = 1,
   kReport = 2,
   kStats = 3,
-  // Versioned decide frame (protocol v2): same batched-decision body as
-  // kDecide plus a propagatable trace context (trace id + parent span id),
-  // the client's steady-clock send timestamp, and a per-request deadline
-  // budget. Versioning is by message type: a v1 client keeps sending
-  // kDecide and the daemon keeps accepting it unchanged; a v2 client
-  // talking to an old daemon would be answered kMalformed, which the
-  // loadgen treats as fatal (clients upgrade last).
+  // Versioning is by message type. Type 1 (the retired v1 decide frame)
+  // is not reused, so a stale client gets kMalformed, never a misparse.
   kDecideV2 = 4,
 };
 
@@ -58,11 +53,6 @@ enum class Status : std::uint8_t {
   kOk = 0,
   kRejected = 1,   // admission control backpressure
   kMalformed = 2,  // undecodable frame / bad source
-};
-
-struct DecideRequest {
-  std::uint32_t source = 0;
-  std::vector<std::uint8_t> inputs;  // one game input bit per decision
 };
 
 /// v2 decide frame body. `trace_id` 0 means the batch is unsampled (no
@@ -93,8 +83,8 @@ struct DecisionEntry {
   static constexpr std::uint8_t kOutputBit = 1u << 0;
   static constexpr std::uint8_t kQuantumBit = 1u << 1;
   static constexpr std::uint8_t kRoundWonBit = 1u << 2;
-  /// v2 only: the decision was produced after the request's deadline
-  /// budget had already elapsed (measured at the end of the decide stage;
+  /// The decision was produced after the request's deadline budget had
+  /// already elapsed (measured at the end of the decide stage;
   /// a reply that then blows the budget in the write stage is counted in
   /// the daemon's miss metrics but cannot retroactively set this bit).
   static constexpr std::uint8_t kDeadlineMissBit = 1u << 3;
@@ -191,18 +181,6 @@ class ByteReader {
 // by the socket layer).
 // ---------------------------------------------------------------------------
 
-inline std::vector<std::uint8_t> encode_decide_request(
-    const DecideRequest& req) {
-  std::vector<std::uint8_t> out;
-  out.reserve(9 + req.inputs.size());
-  ByteWriter w(out);
-  w.u8(static_cast<std::uint8_t>(MsgType::kDecide));
-  w.u32(req.source);
-  w.u32(static_cast<std::uint32_t>(req.inputs.size()));
-  if (!req.inputs.empty()) w.bytes(req.inputs.data(), req.inputs.size());
-  return out;
-}
-
 inline std::vector<std::uint8_t> encode_decide_request_v2(
     const DecideRequestV2& req) {
   std::vector<std::uint8_t> out;
@@ -270,18 +248,6 @@ inline std::vector<std::uint8_t> encode_stats_response(const StatsReply& s) {
   w.u64(s.pairs_dropped_full);
   w.u64(s.pairs_in_memory);
   return out;
-}
-
-inline std::optional<DecideRequest> decode_decide_request(ByteReader& r) {
-  DecideRequest req;
-  req.source = r.u32();
-  const std::uint32_t count = r.u32();
-  if (!r.ok() || count > kMaxFrameBytes || r.remaining() < count) {
-    return std::nullopt;
-  }
-  req.inputs.resize(count);
-  if (count > 0 && !r.bytes(req.inputs.data(), count)) return std::nullopt;
-  return req;
 }
 
 inline std::optional<DecideRequestV2> decode_decide_request_v2(
