@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 
 #include "obs/metrics.hpp"
@@ -20,150 +21,255 @@ double norm_zero(double v) { return v == 0.0 ? 0.0 : v; }
 /// Each column carries a sign that is unresolved until the first placed row
 /// with a nonzero entry there fixes it (to whatever renders that entry
 /// positive, i.e. lexicographically maximal).
-struct Canonicalizer {
-  std::vector<std::vector<double>> m;  // -0-normalised input
-  std::size_t nx = 0;
-  std::size_t ny = 0;
-  std::uint64_t node_cap = 0;
-
-  std::uint64_t nodes = 0;
-  bool aborted = false;
-  bool have_best = false;
-  std::vector<double> best;  // lex-max emitted matrix so far
-
-  struct State {
-    std::vector<std::vector<std::size_t>> cells;  // ordered column partition
-    std::vector<double> col_sign;                 // +-1 per column
-    std::vector<char> resolved;                   // sign fixed yet?
-    std::vector<std::pair<std::size_t, int>> placed;  // (row, sign)
-    std::uint32_t used = 0;                       // bitmask of placed rows
-    bool any_resolved = false;
-  };
-
-  /// Rendered string of candidate row `r` with sign `s`: per cell, the
-  /// entries as they would appear after the within-cell descending sort
-  /// the final matrix is free to apply.
-  [[nodiscard]] std::vector<double> render(const State& st, std::size_t r,
-                                           int s) const {
-    std::vector<double> out;
-    out.reserve(ny);
-    std::vector<double> cell_vals;
-    for (const auto& cell : st.cells) {
-      cell_vals.clear();
-      for (std::size_t c : cell) {
-        const double v = m[r][c];
-        const double adj = st.resolved[c]
-                               ? norm_zero(static_cast<double>(s) *
-                                           st.col_sign[c] * v)
-                               : std::abs(v);
-        cell_vals.push_back(adj);
+///
+/// The search runs on integer codes, not doubles: entry v becomes
+/// sign(v) * (1 + rank of |v| among the matrix's distinct nonzero
+/// magnitudes), and +-0 becomes 0. Every value the search compares has the
+/// form +-v, and the map is strictly increasing on those, so each
+/// lexicographic comparison and each tie comes out as it would on the
+/// doubles.
+///
+/// Level d holds the state after d placements: the partition as a column
+/// permutation plus cell-start flags, the column signs (0 while
+/// unresolved), the used-row mask and the tied candidates. All levels are
+/// sized once per search; `place` writes level d + 1 in place, so a node
+/// does no heap work.
+class Canonicalizer {
+ public:
+  Canonicalizer(const std::vector<std::vector<double>>& m,
+                std::uint64_t node_cap)
+      : nx_(m.size()),
+        ny_(m.front().size()),
+        node_cap_(node_cap),
+        code_(nx_ * ny_),
+        perm_((nx_ + 1) * ny_),
+        start_((nx_ + 1) * ny_, 0),
+        sign_((nx_ + 1) * ny_, 0),
+        used_(nx_ + 1, 0),
+        any_resolved_(nx_ + 1, 0),
+        tied_(nx_ * 2 * nx_),
+        path_(nx_),
+        cur_(ny_),
+        best_str_(ny_),
+        adj_(ny_),
+        emitted_(nx_ * ny_),
+        best_(nx_ * ny_) {
+    for (const auto& row : m) {
+      for (const double v : row) {
+        if (v != 0.0) mag_.push_back(std::abs(v));
       }
-      std::sort(cell_vals.begin(), cell_vals.end(), std::greater<>());
-      out.insert(out.end(), cell_vals.begin(), cell_vals.end());
+    }
+    std::sort(mag_.begin(), mag_.end());
+    mag_.erase(std::unique(mag_.begin(), mag_.end()), mag_.end());
+    for (std::size_t x = 0; x < nx_; ++x) {
+      for (std::size_t y = 0; y < ny_; ++y) {
+        const double v = m[x][y];
+        if (v == 0.0) continue;
+        const int rank = 1 + static_cast<int>(
+                                 std::lower_bound(mag_.begin(), mag_.end(),
+                                                  std::abs(v)) -
+                                 mag_.begin());
+        code_[x * ny_ + y] = v > 0.0 ? rank : -rank;
+      }
+    }
+    // The root: one cell holding every column in order, no sign resolved.
+    for (std::size_t c = 0; c < ny_; ++c) perm_[c] = c;
+    start_[0] = 1;
+  }
+
+  /// Runs the search; false when it hit the node cap.
+  bool run() {
+    visit(0);
+    return !aborted_;
+  }
+
+  [[nodiscard]] std::uint64_t nodes() const { return nodes_; }
+
+  /// The lex-max emitted matrix, decoded back to the input's doubles:
+  /// negation is exact, so -|v| is bit for bit the s * sign * v it stands
+  /// for, and code 0 decodes to +0.
+  [[nodiscard]] std::vector<double> best_matrix() const {
+    FTL_ASSERT(have_best_);
+    std::vector<double> out(best_.size());
+    for (std::size_t i = 0; i < best_.size(); ++i) {
+      const int k = best_[i];
+      out[i] = k > 0 ? mag_[static_cast<std::size_t>(k - 1)]
+                     : k < 0 ? -mag_[static_cast<std::size_t>(-k - 1)] : 0.0;
     }
     return out;
   }
 
-  /// Places (r, s): refines every cell by the row's rendered values
-  /// (descending groups) and resolves pending column signs at nonzero
-  /// entries.
-  [[nodiscard]] State place(const State& st, std::size_t r, int s) const {
-    State next;
-    next.col_sign = st.col_sign;
-    next.resolved = st.resolved;
-    next.placed = st.placed;
-    next.placed.emplace_back(r, s);
-    next.used = st.used | (std::uint32_t{1} << r);
-    next.any_resolved = st.any_resolved;
-    const double sd = static_cast<double>(s);
-    for (const auto& cell : st.cells) {
-      // Resolve signs first so grouping uses the final adjusted values.
-      std::vector<std::pair<double, std::size_t>> adj;
-      adj.reserve(cell.size());
-      for (std::size_t c : cell) {
-        const double v = m[r][c];
-        if (!next.resolved[c] && v != 0.0) {
-          next.resolved[c] = 1;
-          next.col_sign[c] = sd * v > 0.0 ? 1.0 : -1.0;
-          next.any_resolved = true;
-        }
-        const double a = next.resolved[c]
-                             ? norm_zero(sd * next.col_sign[c] * v)
-                             : 0.0;  // unresolved => v == 0
-        adj.emplace_back(a, c);
-      }
-      std::stable_sort(adj.begin(), adj.end(),
-                       [](const auto& a, const auto& b) {
-                         return a.first > b.first;
-                       });
-      std::size_t i = 0;
-      while (i < adj.size()) {
-        std::size_t j = i;
-        next.cells.emplace_back();
-        while (j < adj.size() && adj[j].first == adj[i].first) {
-          next.cells.back().push_back(adj[j].second);
-          ++j;
-        }
-        i = j;
-      }
-    }
-    return next;
+ private:
+  struct Candidate {
+    std::size_t row;
+    int sign;
+  };
+
+  [[nodiscard]] const int* row_codes(std::size_t r) const {
+    return code_.data() + r * ny_;
   }
 
-  void emit(const State& st) {
-    std::vector<double> out;
-    out.reserve(nx * ny);
-    for (const auto& [r, s] : st.placed) {
-      const double sd = static_cast<double>(s);
-      for (const auto& cell : st.cells) {
-        for (std::size_t c : cell) {
-          const double v = m[r][c];
-          out.push_back(st.resolved[c] ? norm_zero(sd * st.col_sign[c] * v)
-                                       : 0.0);
-        }
+  /// Renders candidate row `r` with sign `s` at level `d` into `cur_`: per
+  /// cell, the entries as they would appear after the within-cell
+  /// descending sort the final matrix is free to apply. Returns the
+  /// rendering's order against `best_str_` (+1 when there is none yet),
+  /// stopping early once it compares lower.
+  int render(std::size_t d, std::size_t r, int s, bool have_best_str) {
+    const int* row = row_codes(r);
+    const std::size_t* perm = &perm_[d * ny_];
+    const char* start = &start_[d * ny_];
+    const int* sign = &sign_[d * ny_];
+    int order = have_best_str ? 0 : 1;
+    std::size_t b = 0;
+    while (b < ny_) {
+      std::size_t e = b + 1;
+      while (e < ny_ && start[e] == 0) ++e;
+      for (std::size_t p = b; p < e; ++p) {
+        const std::size_t c = perm[p];
+        cur_[p] = sign[c] != 0 ? s * sign[c] * row[c] : std::abs(row[c]);
       }
+      for (std::size_t p = b + 1; p < e; ++p) {
+        const int v = cur_[p];
+        std::size_t q = p;
+        for (; q > b && cur_[q - 1] < v; --q) cur_[q] = cur_[q - 1];
+        cur_[q] = v;
+      }
+      if (order == 0) {
+        for (std::size_t p = b; p < e; ++p) {
+          if (cur_[p] != best_str_[p]) {
+            order = cur_[p] > best_str_[p] ? 1 : -1;
+            break;
+          }
+        }
+        if (order < 0) return order;
+      }
+      b = e;
     }
-    if (!have_best || out > best) {
-      best = std::move(out);
-      have_best = true;
+    return order;
+  }
+
+  /// Places (r, s) on level `d`, writing level d + 1: resolves pending
+  /// column signs at the row's nonzero entries, then refines every cell by
+  /// the row's adjusted values (a stable descending sort, equal values
+  /// grouped into one cell).
+  void place(std::size_t d, std::size_t r, int s) {
+    const int* row = row_codes(r);
+    const std::size_t* perm = &perm_[d * ny_];
+    const char* start = &start_[d * ny_];
+    std::size_t* next_perm = &perm_[(d + 1) * ny_];
+    char* next_start = &start_[(d + 1) * ny_];
+    int* next_sign = &sign_[(d + 1) * ny_];
+    std::copy_n(&sign_[d * ny_], ny_, next_sign);
+    used_[d + 1] = used_[d] | (std::uint32_t{1} << r);
+    any_resolved_[d + 1] = any_resolved_[d];
+    std::size_t b = 0;
+    while (b < ny_) {
+      std::size_t e = b + 1;
+      while (e < ny_ && start[e] == 0) ++e;
+      for (std::size_t p = b; p < e; ++p) {
+        const std::size_t c = perm[p];
+        const int k = row[c];
+        if (next_sign[c] == 0 && k != 0) {
+          next_sign[c] = s * k > 0 ? 1 : -1;
+          any_resolved_[d + 1] = 1;
+        }
+        // An unresolved column has k == 0 here, so its value is 0.
+        const std::pair<int, std::size_t> a{s * next_sign[c] * k, c};
+        std::size_t q = p - b;
+        for (; q > 0 && adj_[q - 1].first < a.first; --q) adj_[q] = adj_[q - 1];
+        adj_[q] = a;
+      }
+      for (std::size_t p = b; p < e; ++p) {
+        next_perm[p] = adj_[p - b].second;
+        next_start[p] = p == b || adj_[p - b].first != adj_[p - b - 1].first;
+      }
+      b = e;
     }
   }
 
-  void visit(const State& st) {
-    if (aborted) return;
-    if (++nodes > node_cap) {
-      aborted = true;
+  /// Emits the completed placement and keeps it if it is the lex-max so
+  /// far. Columns are unresolved at the end only where every row is 0, so
+  /// s * sign * code is each entry's value throughout.
+  void emit() {
+    const std::size_t* perm = &perm_[nx_ * ny_];
+    const int* sign = &sign_[nx_ * ny_];
+    int* out = emitted_.data();
+    for (const Candidate& placed : path_) {
+      const int* row = row_codes(placed.row);
+      for (std::size_t p = 0; p < ny_; ++p) {
+        const std::size_t c = perm[p];
+        *out++ = placed.sign * sign[c] * row[c];
+      }
+    }
+    if (!have_best_ || std::lexicographical_compare(best_.begin(), best_.end(),
+                                                    emitted_.begin(),
+                                                    emitted_.end())) {
+      best_.swap(emitted_);
+      have_best_ = true;
+    }
+  }
+
+  void visit(std::size_t d) {
+    if (++nodes_ > node_cap_) {
+      aborted_ = true;
       return;
     }
-    if (st.placed.size() == nx) {
-      emit(st);
+    if (d == nx_) {
+      emit();
       return;
     }
     // Candidates: every unplaced row, both signs once any column sign is
     // resolved. Before that, +1 only: the global flip (all row and column
     // signs at once) maps each completion to one with identical rendering,
     // so exploring both halves of that symmetry is pure waste.
-    std::vector<std::tuple<std::size_t, int, std::vector<double>>> cands;
-    std::vector<double> best_str;
-    for (std::size_t r = 0; r < nx; ++r) {
-      if ((st.used >> r) & 1u) continue;
-      const int lo = st.any_resolved ? -1 : 1;
+    Candidate* tied = &tied_[d * 2 * nx_];
+    std::size_t num_tied = 0;
+    const int lo = any_resolved_[d] != 0 ? -1 : 1;
+    for (std::size_t r = 0; r < nx_; ++r) {
+      if ((used_[d] >> r) & 1u) continue;
       for (int s = 1; s >= lo; s -= 2) {
-        std::vector<double> str = render(st, r, s);
-        if (cands.empty() || str > best_str) {
-          best_str = str;
-          cands.clear();
-          cands.emplace_back(r, s, std::move(str));
-        } else if (str == best_str) {
-          cands.emplace_back(r, s, std::move(str));
+        const int order = render(d, r, s, num_tied > 0);
+        if (order > 0) {
+          best_str_.swap(cur_);
+          num_tied = 0;
+          tied[num_tied++] = {r, s};
+        } else if (order == 0) {
+          tied[num_tied++] = {r, s};
         }
       }
     }
-    for (const auto& [r, s, str] : cands) {
-      visit(place(st, r, s));
-      if (aborted) return;
+    for (std::size_t i = 0; i < num_tied; ++i) {
+      place(d, tied[i].row, tied[i].sign);
+      path_[d] = tied[i];
+      visit(d + 1);
+      if (aborted_) return;
     }
   }
+
+  std::size_t nx_;
+  std::size_t ny_;
+  std::uint64_t node_cap_;
+  std::vector<double> mag_;  // distinct nonzero magnitudes, ascending
+  std::vector<int> code_;    // row-major entry codes
+
+  // Per-level state, level d at offset d * ny_ (tied_: d * 2 * nx_).
+  std::vector<std::size_t> perm_;
+  std::vector<char> start_;
+  std::vector<int> sign_;
+  std::vector<std::uint32_t> used_;
+  std::vector<char> any_resolved_;
+  std::vector<Candidate> tied_;
+  std::vector<Candidate> path_;  // the placement made at each level
+
+  std::vector<int> cur_;       // rendering under test
+  std::vector<int> best_str_;  // lex-max rendering at the current node
+  std::vector<std::pair<int, std::size_t>> adj_;  // one cell's refinement
+  std::vector<int> emitted_;
+  std::vector<int> best_;  // lex-max emitted matrix so far
+
+  std::uint64_t nodes_ = 0;
+  bool aborted_ = false;
+  bool have_best_ = false;
 };
 
 std::string serialize(std::size_t nx, std::size_t ny,
@@ -207,35 +313,18 @@ CanonicalForm canonical_form(const std::vector<std::vector<double>>& m,
   const std::size_t ny = m.front().size();
   FTL_ASSERT_MSG(nx <= 32, "row bitmask is 32 bits");
 
-  Canonicalizer cz;
-  cz.m.assign(nx, std::vector<double>(ny, 0.0));
-  for (std::size_t x = 0; x < nx; ++x) {
-    FTL_ASSERT_MSG(m[x].size() == ny, "ragged matrix");
-    for (std::size_t y = 0; y < ny; ++y) {
-      FTL_ASSERT(std::isfinite(m[x][y]));
-      cz.m[x][y] = norm_zero(m[x][y]);
-    }
+  for (const auto& row : m) {
+    FTL_ASSERT_MSG(row.size() == ny, "ragged matrix");
+    for (const double v : row) FTL_ASSERT(std::isfinite(v));
   }
-  cz.nx = nx;
-  cz.ny = ny;
-  cz.node_cap = opts.node_cap;
-
-  Canonicalizer::State root;
-  root.cells.emplace_back(ny);
-  for (std::size_t c = 0; c < ny; ++c) root.cells.back()[c] = c;
-  root.col_sign.assign(ny, 1.0);
-  root.resolved.assign(ny, 0);
-  cz.visit(root);
+  Canonicalizer cz(m, opts.node_cap);
 
   CanonicalForm out;
   out.nx = nx;
   out.ny = ny;
-  out.nodes = cz.nodes;
-  out.complete = !cz.aborted;
-  if (out.complete) {
-    FTL_ASSERT(cz.have_best);
-    out.matrix = std::move(cz.best);
-  }
+  out.complete = cz.run();
+  out.nodes = cz.nodes();
+  if (out.complete) out.matrix = cz.best_matrix();
   return out;
 }
 

@@ -63,7 +63,6 @@ struct GramResult {
   double value = 0.0;
   /// The optimal unit row vectors (size n x rank).
   std::vector<std::vector<double>> rows;
-  int sweeps_used = 0;
   bool converged = false;
 };
 

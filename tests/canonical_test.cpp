@@ -4,10 +4,13 @@
 // tests, not spot checks).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "fnv1a.hpp"
 #include "games/affinity.hpp"
 #include "games/canonical.hpp"
 #include "games/generators.hpp"
@@ -178,6 +181,58 @@ TEST(Canonical, HighlySymmetricMatricesBailOutConsistently) {
       roomy);
   ASSERT_TRUE(c8r.complete);
   EXPECT_EQ(c8.key(), c8r.key());
+}
+
+// Every node count, cap decision and key, folded into one hash. The
+// constant is the output of the double-valued search that the integer-code
+// search replaced, so a change to any node count, cap decision or key moves
+// it. The search only compares and negates, so the constant does not depend
+// on the platform's floating-point library.
+TEST(Canonical, SearchIsPinnedAtParent) {
+  CanonicalOptions opts;
+  opts.node_cap = 2'000;  // keeps the searches that hit the cap cheap
+  ftl::test::Fnv1a h;
+  const auto fold = [&](const Matrix& m) {
+    const CanonicalForm f = canonical_form(m, opts);
+    h.u64(f.nodes);
+    h.u64(f.complete ? 1 : 0);
+    h.str(f.key());
+  };
+
+  // Sweep-style affinity games at every density, each also under one
+  // random relabeling.
+  Rng rng(1717);
+  for (const std::size_t n : {8, 10, 12}) {
+    for (int i = 0; i <= 10; ++i) {
+      for (int g = 0; g < 3; ++g) {
+        const Matrix m =
+            XorGame::from_affinity(
+                AffinityGraph::random(n, static_cast<double>(i) / 10.0, rng))
+                .cost_matrix();
+        fold(m);
+        const auto r = random_relabeling(m.size(), m.front().size(), rng);
+        fold(relabel_cost_matrix(m, r.row_perm, r.col_perm, r.row_sign,
+                                 r.col_sign));
+      }
+    }
+  }
+
+  // Random matrices over four magnitudes of both signs and +-0.
+  constexpr double kPalette[] = {0.0,    -0.0,  0.125, -0.125, 0.25,
+                                 -0.25,  0.375, -0.375, 0.5,   -0.5};
+  for (int t = 0; t < 80; ++t) {
+    const std::size_t nx = 2 + rng.uniform_int(std::uint64_t{7});
+    const std::size_t ny = 2 + rng.uniform_int(std::uint64_t{7});
+    Matrix m(nx, std::vector<double>(ny, 0.0));
+    for (auto& row : m) {
+      for (double& v : row) {
+        v = kPalette[rng.uniform_int(std::uint64_t{std::size(kPalette)})];
+      }
+    }
+    fold(m);
+  }
+
+  EXPECT_EQ(h.h, 0x93ac6e0221eaf43fULL);
 }
 
 TEST(CanonicalCache, EquivalentGamesHitAfterOneInsert) {
