@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "qnet/decoherence.hpp"
 #include "util/assert.hpp"
 
 namespace ftl::core {
@@ -22,7 +21,10 @@ const char* to_string(Backend b) {
 }
 
 CorrelatedPair::CorrelatedPair(const PairConfig& cfg)
-    : cfg_(cfg), rng_(cfg.seed) {
+    : cfg_(cfg),
+      rng_(cfg.seed),
+      // A fresh pair: at age 0, T1 and T2 play no part.
+      pair_(cfg.visibility, 0.0, 0.0, /*t1_s=*/1.0, /*t2_s=*/1.0) {
   FTL_ASSERT(cfg.visibility >= 0.0 && cfg.visibility <= 1.0);
   FTL_ASSERT(cfg.detector_efficiency >= 0.0 &&
              cfg.detector_efficiency <= 1.0);
@@ -38,7 +40,7 @@ CorrelatedPair::CorrelatedPair(const PairConfig& cfg)
 
 void CorrelatedPair::begin_round() {
   decided_[0] = decided_[1] = false;
-  round_state_.reset();
+  measured_[0] = measured_[1] = false;
   shared_bit_ = rng_.bernoulli(0.5) ? 1 : 0;
 
   if (cfg_.backend != Backend::kQuantum) {
@@ -57,10 +59,8 @@ void CorrelatedPair::begin_round() {
       return;
     }
     const qnet::QnetConfig& q = *cfg_.supply;
-    round_state_ = qnet::pair_state_after_storage(
-        cfg_.visibility, *age_s, *age_s, q.memory_t1_s, q.memory_t2_s);
-  } else {
-    round_state_ = qcore::Density::werner(cfg_.visibility);
+    pair_ = qnet::StoredPair(cfg_.visibility, *age_s, *age_s, q.memory_t1_s,
+                             q.memory_t2_s);
   }
   round_is_quantum_ = true;
 }
@@ -75,11 +75,14 @@ int CorrelatedPair::decide(int endpoint, int input_bit) {
   int out = 0;
   if (round_is_quantum_ && rng_.bernoulli(cfg_.detector_efficiency)) {
     // Honest local measurement on this endpoint's half of the pair.
-    const qcore::CMat basis =
-        games::chsh_basis(games::chsh_optimal_angles(), endpoint, input_bit,
-                          /*flip_output=*/endpoint == 1);
-    out = round_state_->measure(static_cast<std::size_t>(endpoint), basis,
-                                rng_);
+    const int partner = 1 - endpoint;
+    const double p1 =
+        measured_[partner]
+            ? pair_.conditional_one(endpoint, input_bit, inputs_[partner],
+                                    outputs_[partner])
+            : pair_.marginal_one(endpoint, input_bit);
+    out = rng_.uniform() < p1 ? 1 : 0;
+    measured_[endpoint] = true;
   } else if (round_is_quantum_) {
     // Detector failure: this endpoint falls back to the shared bit; the
     // partner's measurement is now uncorrelated with it.

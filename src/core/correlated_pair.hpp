@@ -7,20 +7,20 @@
 // (omniscient testbed cheat).
 //
 // The quantum backend is honest-by-construction: each endpoint's decide()
-// performs a projective measurement on its own qubit of a shared two-qubit
-// state; the first caller's outcome distribution provably cannot depend on
-// the other endpoint's input (no-signaling), and call order does not change
-// the joint distribution. Pair supply can optionally be rationed through a
-// qnet::QnetConfig — rounds without a delivered pair fall back to the best
-// classical strategy, with visibility degraded by storage decoherence.
+// measures its own half of a shared qnet::StoredPair; the first caller's
+// outcome distribution provably cannot depend on the other endpoint's input
+// (no-signaling), and the second draws conditioned on the first's outcome,
+// so call order does not change the joint distribution. Pair supply can
+// optionally be rationed through a qnet::QnetConfig — rounds without a
+// delivered pair fall back to the best classical strategy, with visibility
+// degraded by storage decoherence.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 
-#include "games/chsh.hpp"
-#include "qcore/density.hpp"
 #include "qnet/config.hpp"
+#include "qnet/decoherence.hpp"
 #include "qnet/pair_pool.hpp"
 #include "util/rng.hpp"
 
@@ -92,7 +92,8 @@ class CorrelatedPair {
   int inputs_[2] = {0, 0};
   int outputs_[2] = {0, 0};
   bool round_is_quantum_ = false;
-  std::optional<qcore::Density> round_state_;
+  bool measured_[2] = {false, false};  // a detector failure does not measure
+  qnet::StoredPair pair_;  // fresh, or rebuilt per round from the pair's age
   int shared_bit_ = 0;  // classical fallback shared randomness
   double sim_time_s_ = 0.0;
   /// Pair supply when cfg_.supply is set, advanced on rng_ to each round's

@@ -35,6 +35,11 @@ QuantumStrategy chsh_quantum_strategy(const ChshAngles& angles,
                                   flip_bob_output);
 }
 
+namespace {
+
+/// The measurement basis a single player uses: player 0 (Alice) or 1 (Bob),
+/// given its input bit. `flip_output` swaps the outcome labels (used for
+/// Bob in the flipped load-balancing game).
 qcore::CMat chsh_basis(const ChshAngles& angles, int player, int input,
                        bool flip_output) {
   FTL_ASSERT((player == 0 || player == 1) && (input == 0 || input == 1));
@@ -50,6 +55,8 @@ qcore::CMat chsh_basis(const ChshAngles& angles, int player, int input,
   swapped.at(1, 1) = b.at(1, 0);
   return swapped;
 }
+
+}  // namespace
 
 QuantumStrategy chsh_strategy_with_state(qcore::Density state,
                                          const ChshAngles& angles,

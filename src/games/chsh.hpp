@@ -31,12 +31,6 @@ struct ChshAngles {
     const ChshAngles& angles, bool flip_bob_output = false,
     double visibility = 1.0);
 
-/// The measurement basis a single player uses: player 0 (Alice) or 1 (Bob),
-/// given its input bit. `flip_output` swaps the outcome labels (used for
-/// Bob in the flipped load-balancing game).
-[[nodiscard]] qcore::CMat chsh_basis(const ChshAngles& angles, int player,
-                                     int input, bool flip_output = false);
-
 /// Same measurement bases, but on an arbitrary (e.g. storage-decohered)
 /// two-qubit state.
 [[nodiscard]] QuantumStrategy chsh_strategy_with_state(

@@ -1,26 +1,44 @@
 // Effect of QNIC storage on the usefulness of a stored Bell pair.
 //
 // While a pair waits in memory for an input to arrive (Figure 2), each half
-// decoheres with its memory's T1/T2. This module computes the exact
-// post-storage two-qubit state on the density-matrix simulator and the CHSH
-// win probability it still supports — the quantity that decides whether the
-// load balancer keeps any advantage (>(3/4) needs enough coherence).
+// decoheres with its memory's T1/T2. StoredPair is the closed form of the
+// stored pair's CHSH statistics (THEORY.md, "Stored pairs"); the post-storage
+// win, the storage window and the serving path's win table are built on it.
+// The density-matrix path in qcore/games is its test oracle.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "qcore/density.hpp"
-
 namespace ftl::qnet {
 
-/// State of a visibility-v0 Werner pair after its halves sat in memory for
-/// storage_a and storage_b seconds (memories with the given T1/T2).
-[[nodiscard]] qcore::Density pair_state_after_storage(double v0,
-                                                      double storage_a_s,
-                                                      double storage_b_s,
-                                                      double t1_s,
-                                                      double t2_s);
+/// A visibility-v0 Werner pair whose halves (endpoint 0 = Alice, 1 = Bob)
+/// waited age_a_s and age_b_s in memories with the given T1/T2 (the channel
+/// of qcore::storage_decoherence), measured at the Tsirelson angles with
+/// Bob's outcome labels swapped for the flipped game.
+class StoredPair {
+ public:
+  /// Requires 0 <= v0 <= 1, ages >= 0, T1 > 0, T2 > 0 and T2 <= 2 T1.
+  StoredPair(double v0, double age_a_s, double age_b_s, double t1_s,
+             double t2_s);
+
+  /// P(a, b | x, y).
+  [[nodiscard]] double joint(int x, int y, int a, int b) const;
+  /// P(endpoint outputs 1 | input), whatever its partner does.
+  [[nodiscard]] double marginal_one(int endpoint, int input) const;
+  /// The same once the partner measured partner_input and saw
+  /// partner_outcome.
+  [[nodiscard]] double conditional_one(int endpoint, int input,
+                                       int partner_input,
+                                       int partner_outcome) const;
+  /// Win probability of the flipped game with uniform inputs.
+  [[nodiscard]] double win_probability() const;
+
+ private:
+  double z_[2];  ///< <Z> of each half
+  double t_zz_;  ///< <Z⊗Z>
+  double t_xx_;  ///< <X⊗X> = −<Y⊗Y>
+};
 
 /// Win probability of the flipped-CHSH load-balancing game using the
 /// Tsirelson-optimal angles on the post-storage state. Classical baseline
@@ -35,18 +53,14 @@ namespace ftl::qnet {
 [[nodiscard]] double useful_storage_window_s(double v0, double t1_s,
                                              double t2_s);
 
-/// Piecewise-linear lookup of the post-storage CHSH win probability
-/// (both halves stored for `age` seconds), built once per broker: the exact
-/// density-matrix computation behind chsh_win_after_storage is far too slow
-/// to run per request, and the curve is smooth enough that 128 samples keep
-/// the interpolation error well below the physics noise. Used by the
-/// batch simulate_pair_supply and the serving-path LiveBroker to grade the
-/// ages their qnet::PairPool returns (the pool itself holds no win curve;
-/// CorrelatedPair measures the exact post-storage state instead).
+/// Piecewise-linear lookup of the post-storage CHSH win probability (both
+/// halves stored for `age` seconds) on 129 knots of the closed form, built
+/// once per broker. The batch simulate_pair_supply and the serving-path
+/// LiveBroker grade the ages their qnet::PairPool returns with it: a lookup
+/// costs a few ns, the closed form's exp() calls several times that.
 class WinCurve {
  public:
-  WinCurve(double v0, double t1_s, double t2_s, double max_age_s,
-           std::size_t samples = 128);
+  WinCurve(double v0, double t1_s, double t2_s, double max_age_s);
 
   /// Win probability for a pair stored `age` seconds (clamped to the
   /// sampled range; ages past max_age_s return the terminal value).
@@ -58,8 +72,6 @@ class WinCurve {
     const double frac = pos - static_cast<double>(lo);
     return wins_[lo] * (1.0 - frac) + wins_[lo + 1] * frac;
   }
-
-  [[nodiscard]] double max_age_s() const { return max_age_; }
 
  private:
   double max_age_;

@@ -129,6 +129,21 @@ TEST(LiveBroker, EffectiveWindowClampedByDecoherence) {
               1e-12);
 }
 
+TEST(LiveBrokerDeathTest, UnphysicalSourceOrMemoryAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto build = [](double visibility, double t1_s, double t2_s) {
+    LiveBrokerConfig cfg;
+    cfg.qnet.source_visibility = visibility;
+    cfg.qnet.memory_t1_s = t1_s;
+    cfg.qnet.memory_t2_s = t2_s;
+    const LiveBroker broker(cfg, /*seed=*/1);
+  };
+  EXPECT_DEATH(build(1.5, 500e-6, 100e-6), "v0 <= 1");
+  EXPECT_DEATH(build(0.98, 0.0, 100e-6), "t1_s > 0");
+  EXPECT_DEATH(build(0.98, 500e-6, 0.0), "t2_s > 0");
+  EXPECT_DEATH(build(0.98, 100e-6, 300e-6), "T2 <= 2\\*T1");
+}
+
 TEST(LiveBroker, PoolOverflowDropsOldest) {
   LiveBrokerConfig cfg = no_expiry_config(1e5, /*slots=*/8);
   LiveBroker broker(cfg, /*seed=*/11);

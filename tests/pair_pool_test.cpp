@@ -121,7 +121,7 @@ qnet::LiveBrokerStats drive_stepped(qnet::LiveBroker& broker,
 // clang-format off
 const Golden kLiveGolden[] = {
     {"starved", {20000, 2665, 17335, 0, 15045, 9999, 9529, 470, 6864, 0, 0, 0x3fa396c6fe52940cULL, 0x40cd890d2254f25aULL}},
-    {"lossy", {20000, 5119, 14881, 0, 15335, 399178, 40115, 359063, 34996, 0, 0, 0x3fb2897f510d203aULL, 0x40cdc2e2b08f623aULL}},
+    {"lossy", {20000, 5119, 14881, 0, 15335, 399178, 40115, 359063, 34996, 0, 0, 0x3fb2897f510d203aULL, 0x40cdc2e2b08f623cULL}},
     {"expiring", {20000, 2618, 17382, 0, 15005, 39858, 38025, 1833, 35406, 1, 0, 0x3f83a5eee93afe62ULL, 0x40cd85278a74c2c1ULL}},
     {"full", {20000, 18998, 1002, 0, 16273, 599652, 599652, 0, 27612, 553042, 0, 0x3fc46b1843bc807aULL, 0x40cfba64b0f9b4daULL}},
 };
@@ -149,7 +149,9 @@ TEST(PairPoolGolden, LiveBrokerStepped) {
 // stale after the last request may be counted under either.
 //
 // CorrelatedPair fields: rounds, quantum_rounds, fallback_rounds, wins, and
-// an FNV-1a hash of every output bit in call order.
+// an FNV-1a hash of every output bit in call order. Rows cover supply at two
+// pair rates and fresh pairs (no supply), detector efficiency 1 and 0.8, and
+// either endpoint deciding first.
 //
 // run_lb_sim fields: arrived, served, still_queued, bits of
 // mean_queue_length, mean_delay, p95_delay, mean_delay_c, mean_delay_e and
@@ -157,10 +159,20 @@ TEST(PairPoolGolden, LiveBrokerStepped) {
 // fallback_rounds and wins.
 // clang-format off
 const Golden kZeroFiberGolden[] = {
-    {"supply/rate100000", {4916, 4611, 50064, 50064, 0, 419, 45034, 0x3ee199b1c13b5569ULL, 0x3fe9f82f72f32fb4ULL}},
+    {"supply/rate100000", {4916, 4611, 50064, 50064, 0, 419, 45034, 0x3ee199b1c13b5569ULL, 0x3fe9f82f72f32fb6ULL}},
     {"supply/rate5000", {4970, 584, 2476, 2476, 0, 0, 1892, 0x3eec4ec563b9c49eULL, 0x3fe82ea679e46a5fULL}},
     {"pair/rate8000", {20000, 3773, 16227, 15184, 0x8825a7fd3a3dd875ULL}},
+    {"pair/rate8000/bob_first", {20000, 3773, 16227, 15188, 0xf0be4a67312b440fULL}},
+    {"pair/rate8000/eff0.8", {20000, 3744, 16256, 14875, 0x6bc1b4237c4e49a6ULL}},
+    {"pair/rate8000/eff0.8/bob_first", {20000, 3744, 16256, 14875, 0xd1474d554c78774eULL}},
     {"pair/rate50000", {20000, 14544, 5456, 15844, 0xe589ad13c1cc3d89ULL}},
+    {"pair/rate50000/bob_first", {20000, 14544, 5456, 15847, 0x4f2ddb244866536ULL}},
+    {"pair/rate50000/eff0.8", {20000, 14512, 5488, 14387, 0x594fb9156b07a95cULL}},
+    {"pair/rate50000/eff0.8/bob_first", {20000, 14512, 5488, 14365, 0x2021da31ac25e340ULL}},
+    {"pair/fresh", {20000, 20000, 0, 16938, 0xcdd5720dee23f2f5ULL}},
+    {"pair/fresh/bob_first", {20000, 20000, 0, 16938, 0xcdd5720dee23f2f5ULL}},
+    {"pair/fresh/eff0.8", {20000, 20000, 0, 14637, 0x239ee57129d1d7a4ULL}},
+    {"pair/fresh/eff0.8/bob_first", {20000, 20000, 0, 14770, 0xb405dce0ecfb2d9dULL}},
     {"run_lb_sim/supply", {8000, 7202, 798, 0x403dabe147ae147bULL, 0x4035288ec05f8bfbULL, 0x4054400000000000ULL, 0x3fb027b01d82f520ULL, 0x4047f136b697a665ULL, 0x3ff20147ae147ae1ULL, 4500, 534, 3966, 3432}},
 };
 // clang-format on
@@ -182,36 +194,51 @@ TEST(PairPoolGolden, SimulatePairSupplyAtZeroKm) {
   }
 }
 
+/// pair_rate_hz = 0 plays every round on a fresh pair (no supply).
 core::PairConfig supply_pair_cfg(double pair_rate_hz, std::uint64_t seed) {
   core::PairConfig pc;
   pc.backend = core::Backend::kQuantum;
   pc.visibility = 0.98;
-  qnet::QnetConfig supply;
-  supply.pair_rate_hz = pair_rate_hz;
-  supply.fiber_km = 0.0;
-  pc.supply = supply;
+  if (pair_rate_hz > 0.0) {
+    qnet::QnetConfig supply;
+    supply.pair_rate_hz = pair_rate_hz;
+    supply.fiber_km = 0.0;
+    pc.supply = supply;
+  }
   pc.round_rate_hz = 1e4;
   pc.seed = seed;
   return pc;
 }
 
 TEST(PairPoolGolden, CorrelatedPairAtZeroKm) {
-  for (const double pair_rate : {8e3, 5e4}) {
-    core::CorrelatedPair pair(supply_pair_cfg(pair_rate, kSeed));
-    util::Rng inputs(7);
-    std::uint64_t hash = 1469598103934665603ULL;
-    for (int r = 0; r < 20000; ++r) {
-      const int x = inputs.bernoulli(0.5) ? 1 : 0;
-      const int y = inputs.bernoulli(0.5) ? 1 : 0;
-      for (const int out : {pair.decide(0, x), pair.decide(1, y)}) {
-        hash = (hash ^ static_cast<std::uint64_t>(out)) * 1099511628211ULL;
+  for (const double pair_rate : {8e3, 5e4, 0.0}) {
+    for (const double efficiency : {1.0, 0.8}) {
+      for (const int first : {0, 1}) {
+        core::PairConfig pc = supply_pair_cfg(pair_rate, kSeed);
+        pc.detector_efficiency = efficiency;
+        core::CorrelatedPair pair(pc);
+        util::Rng inputs(7);
+        std::uint64_t hash = 1469598103934665603ULL;
+        for (int r = 0; r < 20000; ++r) {
+          const int in[2] = {inputs.bernoulli(0.5) ? 1 : 0,
+                             inputs.bernoulli(0.5) ? 1 : 0};
+          for (const int endpoint : {first, 1 - first}) {
+            const int out = pair.decide(endpoint, in[endpoint]);
+            hash = (hash ^ static_cast<std::uint64_t>(out)) * 1099511628211ULL;
+          }
+        }
+        std::string name =
+            pair_rate > 0.0
+                ? "pair/rate" + std::to_string(static_cast<long>(pair_rate))
+                : "pair/fresh";
+        if (efficiency < 1.0) name += "/eff0.8";
+        if (first == 1) name += "/bob_first";
+        const core::PairStats& s = pair.stats();
+        expect_golden(kZeroFiberGolden, name,
+                      {s.rounds, s.quantum_rounds, s.fallback_rounds, s.wins,
+                       hash});
       }
     }
-    const core::PairStats& s = pair.stats();
-    expect_golden(kZeroFiberGolden,
-                  "pair/rate" + std::to_string(static_cast<long>(pair_rate)),
-                  {s.rounds, s.quantum_rounds, s.fallback_rounds, s.wins,
-                   hash});
   }
 }
 

@@ -63,12 +63,6 @@ TEST(Decoherence, AsymmetricStorage) {
   EXPECT_GT(one, both);
 }
 
-TEST(Decoherence, StateStaysPhysical) {
-  const qcore::Density rho =
-      pair_state_after_storage(0.95, 80e-6, 30e-6, 500e-6, 100e-6);
-  EXPECT_TRUE(rho.is_valid(1e-7));
-}
-
 TEST(Decoherence, UsefulWindowPositiveForGoodPairs) {
   const double window = useful_storage_window_s(0.98, 500e-6, 100e-6);
   EXPECT_GT(window, 1e-6);
