@@ -7,9 +7,9 @@
 // cross-checks the quantum number with an explicit strategy. The known
 // theory says the advantage vanishes once the bias is extreme enough that
 // a deterministic strategy already wins almost always — measured here.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
+#include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "games/npa.hpp"
@@ -32,24 +32,6 @@ games::XorGame biased_chsh(double p) {
   return games::XorGame(std::move(f), std::move(pi));
 }
 
-void BM_BiasedChsh(benchmark::State& state) {
-  const double p = static_cast<double>(state.range(0)) / 100.0;
-  const games::XorGame game = biased_chsh(p);
-  double classical = 0.0;
-  double quantum = 0.0;
-  for (auto _ : state) {
-    classical = game.classical_value();
-    quantum = (1.0 + game.quantum_bias().bias) / 2.0;
-  }
-  state.counters["p_input_one"] = p;
-  state.counters["classical"] = classical;
-  state.counters["quantum"] = quantum;
-  state.counters["advantage"] = quantum - classical;
-}
-BENCHMARK(BM_BiasedChsh)
-    ->Arg(10)->Arg(25)->Arg(50)->Arg(75)->Arg(90)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
 // Shared obs flags (see bench_common.hpp): --seed, --metrics-out,
@@ -61,9 +43,6 @@ int main(int argc, char** argv) {
       ftl::bench::parse_args(argc, argv, g_seed);
   g_seed = obs_opts.seed;
   const ftl::bench::ObsSession obs_session("bench_biased_chsh", obs_opts);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
 
   std::cout << "\nBiased CHSH (P(type C) = p at both balancers):\n";
   util::Table t({"p", "classical", "quantum (SDP)", "quantum (see-saw)",

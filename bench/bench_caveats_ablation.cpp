@@ -8,9 +8,8 @@
 //      balancer can co-locate its own C tasks without any coordination.
 //  (c) Classical mixtures: the best trade-off any shared-randomness scheme
 //      can make between co-locating C-C and separating the rest.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
+#include <memory>
 
 #include "bench_common.hpp"
 #include "correlate/decision_source.hpp"
@@ -40,53 +39,6 @@ double run_queue(lb::LbStrategy& s, std::size_t servers,
   return run_lb_sim(cfg, s).mean_queue_length;
 }
 
-void BM_DedicatedFractionSweep(benchmark::State& state) {
-  const double frac = static_cast<double>(state.range(0)) / 10.0;
-  double q = 0.0;
-  for (auto _ : state) {
-    lb::DedicatedServersStrategy strat(frac);
-    q = run_queue(strat, 86);
-  }
-  state.counters["c_fraction"] = frac;
-  state.counters["avg_queue_len"] = q;
-}
-BENCHMARK(BM_DedicatedFractionSweep)
-    ->DenseRange(2, 8, 2)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void BM_MixedClassicalSweep(benchmark::State& state) {
-  const double p_same = static_cast<double>(state.range(0)) / 10.0;
-  double q = 0.0;
-  for (auto _ : state) {
-    lb::PairedStrategy strat(
-        std::make_unique<correlate::MixedClassicalSource>(p_same));
-    q = run_queue(strat, 86);
-  }
-  state.counters["p_same"] = p_same;
-  state.counters["avg_queue_len"] = q;
-}
-BENCHMARK(BM_MixedClassicalSweep)
-    ->DenseRange(0, 10, 2)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void BM_LocalBatching(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  double q = 0.0;
-  for (auto _ : state) {
-    lb::LocalBatchingStrategy strat;
-    // Scale servers so the load stays ~1.16 regardless of batch size.
-    q = run_queue(strat, 86 * batch, batch);
-  }
-  state.counters["batch"] = static_cast<double>(batch);
-  state.counters["avg_queue_len"] = q;
-}
-BENCHMARK(BM_LocalBatching)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
 // Shared obs flags (see bench_common.hpp): --seed, --metrics-out,
@@ -98,9 +50,6 @@ int main(int argc, char** argv) {
       ftl::bench::parse_args(argc, argv, g_seed);
   g_seed = obs_opts.seed;
   const ftl::bench::ObsSession obs_session("bench_caveats_ablation", obs_opts);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
 
   const std::size_t servers = 86;  // load ~1.16, the knee region
 

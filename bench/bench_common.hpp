@@ -1,6 +1,6 @@
 // Shared helpers for the bench binaries.
 //
-// Every bench accepts, ahead of the usual google-benchmark flags:
+// Every bench accepts:
 //   --seed <n>             reseed the random stream (replay property-test
 //                          failures through the full benchmark pipeline)
 //   --metrics-out=<path>   write an `ftl.obs.run_report/v1` JSON file with
@@ -22,11 +22,9 @@
 //                          output format: FlameGraph folded stacks (pipe
 //                          into flamegraph.pl) or speedscope JSON (default
 //                          folded)
-// The flags are parsed and *removed* from argv before benchmark::Initialize
-// sees them (it treats unknown flags as fatal). Flag/value pairing follows
-// util::is_value_token, so a separate negative-number value (`--seed -5`)
-// is consumed with its flag while an unrelated dash token (`--seed -v`) is
-// left in argv.
+// Flag/value pairing follows util::is_value_token, so a separate
+// negative-number value (`--seed -5`) is read as the flag's value while an
+// unrelated dash token (`--seed -v`) is not.
 #pragma once
 
 #include <chrono>
@@ -59,10 +57,10 @@ struct Options {
   std::string profile_format = "folded";  // or "speedscope"
 };
 
-/// Reads the common bench flags from the command line and then removes them
-/// from argv, leaving only what benchmark::Initialize understands. The seed
-/// falls back to `fallback_seed` when `--seed` was not passed.
-inline Options parse_args(int& argc, char** argv, std::uint64_t fallback_seed) {
+/// Reads the common bench flags from the command line. The seed falls back
+/// to `fallback_seed` when `--seed` was not passed.
+inline Options parse_args(int argc, const char* const* argv,
+                          std::uint64_t fallback_seed) {
   const util::Args args(argc, argv);
   Options opts;
   opts.seed = static_cast<std::uint64_t>(
@@ -81,38 +79,7 @@ inline Options parse_args(int& argc, char** argv, std::uint64_t fallback_seed) {
               << "' (expected 'folded' or 'speedscope')\n";
     std::exit(2);
   }
-
-  const auto is_ours = [](const std::string& arg) {
-    for (const char* name : {"--seed", "--metrics-out", "--metrics-every",
-                             "--prom-out", "--trace-out", "--profile-out",
-                             "--profile-hz", "--profile-format"}) {
-      if (arg == name || arg.rfind(std::string(name) + "=", 0) == 0)
-        return true;
-    }
-    return false;
-  };
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (is_ours(arg)) {
-      // Skip the flag and its separate value token, if any. Mirrors the
-      // util::Args pairing rule exactly, so a negative-number value is
-      // stripped with its flag instead of leaking to google-benchmark.
-      if (arg.find('=') == std::string::npos && i + 1 < argc &&
-          util::is_value_token(argv[i + 1]))
-        ++i;
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
   return opts;
-}
-
-/// Backwards-compatible shorthand when a bench only cares about the seed.
-inline std::uint64_t extract_seed(int& argc, char** argv,
-                                  std::uint64_t fallback) {
-  return parse_args(argc, argv, fallback).seed;
 }
 
 /// RAII observability session for a bench main(). Construct right after

@@ -3,8 +3,6 @@
 // source below the CHSH-usefulness threshold (F ~ 0.78), how many raw
 // pairs does BBPSSW burn to mint a useful one, and what does that do to
 // the effective pair rate the Figure-2 architecture can sustain?
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <iostream>
 
@@ -13,41 +11,7 @@
 #include "qnet/distill.hpp"
 #include "util/table.hpp"
 
-namespace {
-
 using namespace ftl;
-
-void BM_BbpsswRound(benchmark::State& state) {
-  const double f = static_cast<double>(state.range(0)) / 100.0;
-  const auto w = qcore::Density::werner((4.0 * f - 1.0) / 3.0);
-  double fidelity = 0.0;
-  double p_success = 0.0;
-  for (auto _ : state) {
-    const qnet::DistillResult r = qnet::bbpssw_round(w, w);
-    fidelity = r.fidelity;
-    p_success = r.success_probability;
-  }
-  state.counters["f_in"] = f;
-  state.counters["f_out"] = fidelity;
-  state.counters["p_success"] = p_success;
-}
-BENCHMARK(BM_BbpsswRound)->Arg(60)->Arg(70)->Arg(80)->Arg(90)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DistillToChshThreshold(benchmark::State& state) {
-  const double f0 = static_cast<double>(state.range(0)) / 100.0;
-  const double target = (1.0 + 3.0 / std::sqrt(2.0)) / 4.0;
-  qnet::RecurrenceResult r{};
-  for (auto _ : state) {
-    r = qnet::distill_to_target(f0, target);
-  }
-  state.counters["f0"] = f0;
-  state.counters["rounds"] = r.rounds;
-  state.counters["raw_pairs_per_useful"] = r.expected_raw_pairs;
-}
-BENCHMARK(BM_DistillToChshThreshold)->Arg(55)->Arg(65)->Arg(75);
-
-}  // namespace
 
 // Shared obs flags (see bench_common.hpp): --seed, --metrics-out,
 // --metrics-every, --prom-out, --trace-out, and --profile-out /
@@ -57,9 +21,6 @@ int main(int argc, char** argv) {
   // This bench is fully deterministic; --seed is accepted for a uniform CLI.
   const ftl::bench::ObsSession obs_session(
       "bench_distillation", ftl::bench::parse_args(argc, argv, 0));
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
 
   const double chsh_threshold = (1.0 + 3.0 / std::sqrt(2.0)) / 4.0;
   std::cout << "\nBBPSSW recurrence to the CHSH-usefulness threshold (F > "

@@ -14,8 +14,6 @@
 // Expected shape: zero advantage probability at p = 0 (all-colocate is
 // trivially winnable), rising steeply and staying near 1 across mid-range
 // densities; the rise gets steeper as the vertex count grows.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -77,25 +75,6 @@ PointResult measure_point(ftl::games::XorValueEngine& engine,
   return out;
 }
 
-void BM_Fig3_AdvantageProbability(benchmark::State& state) {
-  const double p = static_cast<double>(state.range(0)) / 10.0;
-  const auto seed = g_seed + static_cast<std::uint64_t>(state.range(0));
-  PointResult r{};
-  for (auto _ : state) {
-    ftl::games::XorValueEngine engine(engine_options(seed));
-    r = measure_point(engine, kVertices, p, kGraphsPerPoint, seed);
-  }
-  state.counters["p_exclusive"] = p;
-  state.counters["p_advantage"] = r.p_advantage;
-  state.counters["ci95"] = r.ci95;
-  state.counters["mean_bias_gap"] = r.mean_gap;
-}
-
-BENCHMARK(BM_Fig3_AdvantageProbability)
-    ->DenseRange(0, 10, 1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
 // Shared obs flags (see bench_common.hpp): --seed, --metrics-out,
@@ -107,9 +86,6 @@ int main(int argc, char** argv) {
       ftl::bench::parse_args(argc, argv, g_seed);
   g_seed = obs_opts.seed;
   const ftl::bench::ObsSession obs_session("bench_fig3_xor_advantage", obs_opts);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
 
   // Human-readable reproduction table (the actual Figure 3 series). One
   // engine per series: the cache and warm starts chain across the sweep,

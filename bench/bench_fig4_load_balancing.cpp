@@ -4,18 +4,16 @@
 //
 // Expected shape: both curves are flat at low load and blow up past a knee;
 // the quantum curve's knee sits at strictly higher load. An omniscient
-// upper bound and the paired-classical ablation are included, and a second
-// sweep checks the paper's note that the result depends on N/M, not N.
+// upper bound is included, and a second sweep checks the paper's note that
+// the result depends on N/M, not N.
 //
 // Scaled configurations: the sharded engine runs the same physics at
-// 10^4–10^6 servers (ROADMAP's "millions of servers" regime). Extra flags,
-// stripped before google-benchmark sees them:
-//   --shards <n>   shard count for the scaled section (0 = one per core)
+// 10^4–10^6 servers (ROADMAP's "millions of servers" regime). Extra flags:
+//   --shards <n>   shard count for the scaled section (0 = one shard per
+//                  1024 servers)
 //   --servers <m>  server count for the scaled summary table (default 1e5)
 // Scaled runs record lb.sharded.* counters; requests/s lands in the
 // BENCH_fig4_load_balancing.json trajectory via ftlbench run.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -33,13 +31,12 @@
 namespace {
 
 using ftl::lb::LbConfig;
-using ftl::lb::LbResult;
 using ftl::lb::make_strategy;
 using ftl::lb::ShardedLbConfig;
 using ftl::lb::ShardedLbResult;
 
 std::uint64_t g_seed = 20250705;  // override with --seed
-std::size_t g_shards = 0;         // override with --shards; 0 = per core
+std::size_t g_shards = 0;         // override with --shards; 0 = auto
 std::size_t g_servers = 100000;   // override with --servers
 
 constexpr std::size_t kBalancers = 100;
@@ -97,72 +94,6 @@ ShardedLbConfig scaled_config(std::size_t servers, double load,
   return cfg;
 }
 
-void BM_Fig4(benchmark::State& state, const std::string& kind) {
-  const std::size_t servers = kServerSweep[state.range(0)];
-  LbResult r{};
-  for (auto _ : state) {
-    const LbConfig cfg = base_config(servers);
-    auto strat = make_strategy(kind);
-    r = ftl::lb::run_lb_sim(cfg, *strat);
-  }
-  state.counters["load"] = base_config(servers).load();
-  state.counters["avg_queue_len"] = r.mean_queue_length;
-  state.counters["mean_delay"] = r.mean_delay;
-  state.counters["p95_delay"] = r.p95_delay;
-}
-
-BENCHMARK_CAPTURE(BM_Fig4, classical_random, "random")
-    ->DenseRange(0, 10, 1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-BENCHMARK_CAPTURE(BM_Fig4, quantum_chsh, "quantum-chsh")
-    ->DenseRange(0, 10, 1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-BENCHMARK_CAPTURE(BM_Fig4, classical_paired, "classical-chsh")
-    ->DenseRange(0, 10, 1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-BENCHMARK_CAPTURE(BM_Fig4, omniscient_bound, "omniscient")
-    ->DenseRange(0, 10, 1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-// Scaled sharded runs. Args: {servers, load * 100, warmup, measure}. The
-// 10^4 case sits in the quantum-advantage region (load 1.4); the 10^5 and
-// 10^6 cases probe raw engine throughput just under the knee.
-void BM_Fig4Sharded(benchmark::State& state, const std::string& source) {
-  const auto servers = static_cast<std::size_t>(state.range(0));
-  const double load = static_cast<double>(state.range(1)) / 100.0;
-  const std::size_t shards = resolve_shards(servers);
-  const ShardedLbConfig cfg =
-      scaled_config(servers, load, shards, state.range(2), state.range(3),
-                    source);
-  ShardedLbResult r{};
-  for (auto _ : state) {
-    r = ftl::lb::run_sharded_lb_sim(cfg, &shared_pool());
-  }
-  state.counters["servers"] = static_cast<double>(cfg.num_servers);
-  state.counters["shards"] = static_cast<double>(shards);
-  state.counters["load"] = cfg.load();
-  state.counters["avg_queue_len"] = r.mean_queue_length;
-  state.counters["requests_per_s"] = benchmark::Counter(
-      static_cast<double>(r.counters.arrived), benchmark::Counter::kIsRate);
-}
-
-BENCHMARK_CAPTURE(BM_Fig4Sharded, quantum_chsh, "quantum-chsh")
-    ->Args({10000, 140, 300, 1500})
-    ->Args({100000, 95, 100, 400})
-    ->Args({1000000, 95, 20, 80})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-BENCHMARK_CAPTURE(BM_Fig4Sharded, classical_random, "random")
-    ->Args({10000, 140, 300, 1500})
-    ->Args({100000, 95, 100, 400})
-    ->Args({1000000, 95, 20, 80})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
 // Shared obs flags (see bench_common.hpp): --seed, --metrics-out,
@@ -174,38 +105,13 @@ int main(int argc, char** argv) {
       ftl::bench::parse_args(argc, argv, g_seed);
   g_seed = obs_opts.seed;
 
-  // Our scaled-run flags, read and stripped the same way parse_args strips
-  // the common ones (google-benchmark is fatal on unknown flags).
-  {
-    const ftl::util::Args args(argc, argv);
-    g_shards = args.get("shards", g_shards);
-    g_servers = args.get("servers", g_servers);
-    const auto is_ours = [](const std::string& arg) {
-      for (const char* name : {"--shards", "--servers"}) {
-        if (arg == name || arg.rfind(std::string(name) + "=", 0) == 0)
-          return true;
-      }
-      return false;
-    };
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (is_ours(arg)) {
-        if (arg.find('=') == std::string::npos && i + 1 < argc &&
-            ftl::util::is_value_token(argv[i + 1]))
-          ++i;
-        continue;
-      }
-      argv[out++] = argv[i];
-    }
-    argc = out;
-  }
+  // The scaled section's own flags (see the header).
+  const ftl::util::Args args(argc, argv);
+  g_shards = args.get("shards", g_shards);
+  g_servers = args.get("servers", g_servers);
 
   ftl::bench::ObsSession obs_session("bench_fig4_load_balancing", obs_opts);
   obs_session.set_config("N=100 balancers, M swept 150..40 (load 0.67..2.5)");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
 
   // The actual Figure 4 series, as a table.
   std::cout << "\nFigure 4 reproduction (N = " << kBalancers
@@ -238,12 +144,10 @@ int main(int argc, char** argv) {
   }
   nt.print(std::cout);
 
-  // Scaled sharded Fig-4: the same physics at 10^4-10^6 servers. These runs
-  // always execute (they are plain main() code, not google-benchmark cases),
-  // so ftlbench's trajectory records the lb.sharded.* counters and the
-  // requests/s they imply even under --benchmark_filter=NONE. The largest
-  // config honours --servers (default 1e5; pass 1000000 for the full-size
-  // sweep) and --shards (default one per core).
+  // Scaled sharded Fig-4: the same physics at 10^4-10^6 servers. The 10^4
+  // run sits in the quantum-advantage region (load 1.4); the two --servers
+  // runs (default 1e5; pass 1000000 for the full-size sweep) probe raw
+  // engine throughput just under the knee.
   std::cout << "\nScaled sharded Fig-4 (seed " << g_seed << "):\n";
   struct ScaledRun {
     std::size_t servers;

@@ -2,9 +2,9 @@
 // execution strategies." We re-run the Figure-4 comparison under all three
 // service policies and report the quantum/classical queue-length ratio at
 // loads around the knee. Expected: ratio < 1 everywhere.
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <iostream>
+#include <memory>
 
 #include "bench_common.hpp"
 #include "correlate/decision_source.hpp"
@@ -34,32 +34,6 @@ lb::LbResult run_once(std::size_t servers, lb::ServicePolicy policy,
   return run_lb_sim(cfg, strat);
 }
 
-void BM_Policy(benchmark::State& state, lb::ServicePolicy policy) {
-  const std::size_t servers = static_cast<std::size_t>(state.range(0));
-  double ratio = 0.0;
-  lb::LbResult rq{};
-  lb::LbResult rc{};
-  for (auto _ : state) {
-    rq = run_once(servers, policy, true);
-    rc = run_once(servers, policy, false);
-    ratio = rq.mean_queue_length / std::max(rc.mean_queue_length, 1e-9);
-  }
-  state.counters["load"] = 100.0 / static_cast<double>(servers);
-  state.counters["queue_quantum"] = rq.mean_queue_length;
-  state.counters["queue_classical"] = rc.mean_queue_length;
-  state.counters["q_over_c"] = ratio;
-}
-
-BENCHMARK_CAPTURE(BM_Policy, paper_c_first, lb::ServicePolicy::kPaperCFirst)
-    ->Arg(100)->Arg(86)->Arg(76)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_Policy, fifo_pair, lb::ServicePolicy::kFifoPair)
-    ->Arg(100)->Arg(86)->Arg(76)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_Policy, e_first, lb::ServicePolicy::kEFirst)
-    ->Arg(100)->Arg(86)->Arg(76)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
 // Shared obs flags (see bench_common.hpp): --seed, --metrics-out,
@@ -71,9 +45,6 @@ int main(int argc, char** argv) {
       ftl::bench::parse_args(argc, argv, g_seed);
   g_seed = obs_opts.seed;
   const ftl::bench::ObsSession obs_session("bench_fig4_service_policies", obs_opts);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
 
   std::cout << "\nFootnote-2 robustness: quantum vs classical mean queue "
                "length under each service policy:\n";

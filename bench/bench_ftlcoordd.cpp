@@ -3,20 +3,12 @@
 // socket path driven by the in-process loadgen (throughput + latency
 // percentiles; timing-dependent, recorded but not gated).
 //
-// The workload runs in main() after RunSpecifiedBenchmarks, mirroring the
-// other benches: the CI trajectory job invokes every bench with
-// --benchmark_filter=NONE, so the counters that feed BENCH_ftlcoordd.json
-// must accumulate outside the google-benchmark bodies. The gbench wrappers
-// exist for interactive wall-time runs only.
-//
 // The qnet.live.requests counter in the run report is deterministic in
 // (seed, config): the stepped stage issues a fixed request schedule and
 // the socket stage a fixed decision count (admission is configured so no
 // batch is ever rejected), so the bench-regression job can gate it at a
 // tight threshold even though hit/fallback splits on the socket path vary
 // with thread interleaving.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <sstream>
 
@@ -122,41 +114,6 @@ coordd::LoadgenResult run_socket(std::uint64_t decisions) {
   return result;
 }
 
-void BM_LiveBrokerSteppedDecide(benchmark::State& state) {
-  SteppedResult r;
-  for (auto _ : state) {
-    r = run_stepped(static_cast<std::size_t>(state.range(0)));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(r.requests) *
-                          state.iterations());
-  state.counters["hit_fraction"] =
-      static_cast<double>(r.hits) / static_cast<double>(r.requests);
-}
-BENCHMARK(BM_LiveBrokerSteppedDecide)
-    ->Arg(kSteppedRequests)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void BM_FtlcoorddSocketDecide(benchmark::State& state) {
-  coordd::LoadgenResult result;
-  for (auto _ : state) {
-    result = run_socket(static_cast<std::uint64_t>(state.range(0)));
-    if (!result.ok) {
-      state.SkipWithError(result.error.c_str());
-      return;
-    }
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(result.decisions_ok * state.iterations()));
-  state.counters["decisions_per_s"] = result.achieved_rate_hz();
-  state.counters["hit_fraction"] = result.hit_fraction();
-  state.counters["batch_rtt_p99_us"] = result.latency.quantile(0.99) * 1e6;
-}
-BENCHMARK(BM_FtlcoorddSocketDecide)
-    ->Arg(500000)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
 // Shared obs flags (see bench_common.hpp): --seed, --metrics-out,
@@ -169,12 +126,7 @@ int main(int argc, char** argv) {
   g_seed = obs_opts.seed;
   ftl::bench::ObsSession obs_session("bench_ftlcoordd", obs_opts);
   obs_session.set_config("stepped=200000 socket=500000 sources=2");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
 
-  // Counter-bearing workload for the trajectory run report (runs with any
-  // --benchmark_filter, including NONE).
   const SteppedResult stepped = run_stepped(kSteppedRequests);
   const coordd::LoadgenResult socket = run_socket(kSocketDecisions);
   if (!socket.ok) {

@@ -1,8 +1,6 @@
 // §2/§4.1's multiparty pointer: XOR games extend to more than two players
 // with a larger advantage [12, 31]. The Mermin-GHZ parity game makes the
 // gap concrete: classical value 1/2 + 2^{-ceil(n/2)} vs quantum 1.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <iostream>
 
@@ -18,47 +16,6 @@ using namespace ftl;
 
 std::uint64_t g_seed = 3;  // sampled-play streams; override with --seed
 
-void BM_MerminClassical(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  double v = 0.0;
-  for (auto _ : state) {
-    v = games::GhzParityGame(n).classical_value();
-  }
-  state.counters["classical_value"] = v;
-}
-BENCHMARK(BM_MerminClassical)->Arg(3)->Arg(4)->Arg(5)->Arg(6)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_MerminQuantumExact(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  double v = 0.0;
-  for (auto _ : state) {
-    v = games::GhzParityGame(n).quantum_value_exact();
-  }
-  state.counters["quantum_value"] = v;
-}
-BENCHMARK(BM_MerminQuantumExact)->Arg(3)->Arg(4)->Arg(5)->Arg(6)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_MerminSampledPlay(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const games::GhzParityGame game(n);
-  util::Rng rng(g_seed);
-  double win = 0.0;
-  for (auto _ : state) {
-    int wins = 0;
-    const int rounds = 5000;
-    for (int i = 0; i < rounds; ++i) {
-      const auto& in = game.inputs()[rng.uniform_int(game.inputs().size())];
-      if (game.wins(in, game.play_quantum(in, rng))) ++wins;
-    }
-    win = static_cast<double>(wins) / rounds;
-  }
-  state.counters["sampled_win"] = win;
-}
-BENCHMARK(BM_MerminSampledPlay)->Arg(3)->Arg(5)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
 // Shared obs flags (see bench_common.hpp): --seed, --metrics-out,
@@ -70,9 +27,6 @@ int main(int argc, char** argv) {
       ftl::bench::parse_args(argc, argv, g_seed);
   g_seed = obs_opts.seed;
   const ftl::bench::ObsSession obs_session("bench_multiparty_games", obs_opts);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
 
   std::cout << "\nMermin-GHZ parity game values (advantage grows with "
                "parties, per [31]):\n";

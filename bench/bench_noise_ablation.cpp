@@ -5,10 +5,9 @@
 //   - end-to-end load-balancing queue length vs visibility,
 //   - CHSH win probability vs QNIC storage time for §3's cited
 //     room-temperature memories (T2 ~ 100 us, storage 16-160 us).
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <iostream>
+#include <memory>
 
 #include "bench_common.hpp"
 #include "correlate/decision_source.hpp"
@@ -35,48 +34,6 @@ double lb_queue_at_knee(double visibility) {
   return run_lb_sim(cfg, strat).mean_queue_length;
 }
 
-void BM_WinVsVisibility(benchmark::State& state) {
-  const double v = static_cast<double>(state.range(0)) / 100.0;
-  double win = 0.0;
-  for (auto _ : state) {
-    correlate::ChshSource src(v);
-    win = src.win_probability(0, 0);
-  }
-  state.counters["visibility"] = v;
-  state.counters["chsh_win"] = win;
-  state.counters["advantage"] = win - 0.75;
-}
-BENCHMARK(BM_WinVsVisibility)->DenseRange(50, 100, 10)->Iterations(1);
-
-void BM_QueueVsVisibility(benchmark::State& state) {
-  const double v = static_cast<double>(state.range(0)) / 100.0;
-  double q = 0.0;
-  for (auto _ : state) {
-    q = lb_queue_at_knee(v);
-  }
-  state.counters["visibility"] = v;
-  state.counters["avg_queue_len"] = q;
-}
-BENCHMARK(BM_QueueVsVisibility)
-    ->DenseRange(60, 100, 10)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void BM_WinVsStorageTime(benchmark::State& state) {
-  const double t_us = static_cast<double>(state.range(0));
-  double win = 0.0;
-  for (auto _ : state) {
-    win = qnet::chsh_win_after_storage(0.98, t_us * 1e-6, t_us * 1e-6,
-                                       500e-6, 100e-6);
-  }
-  state.counters["storage_us"] = t_us;
-  state.counters["chsh_win"] = win;
-}
-BENCHMARK(BM_WinVsStorageTime)
-    ->Arg(0)->Arg(16)->Arg(40)->Arg(80)->Arg(160)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
 // Shared obs flags (see bench_common.hpp): --seed, --metrics-out,
@@ -88,9 +45,6 @@ int main(int argc, char** argv) {
       ftl::bench::parse_args(argc, argv, g_seed);
   g_seed = obs_opts.seed;
   const ftl::bench::ObsSession obs_session("bench_noise_ablation", obs_opts);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
 
   std::cout << "\nCHSH win probability and end-to-end queue length vs pair "
                "visibility (classical references: win 0.75, queue "

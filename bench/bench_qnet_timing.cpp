@@ -5,15 +5,12 @@
 //     storage, waiting for the next pair is distance-independent.
 //   - supply: fraction of requests finding a live pair vs source rate
 //     (paper cites SPDC rates of 1e4..1e7 pairs/s).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "core/coordinator.hpp"
-#include "qnet/broker.hpp"
+#include "qnet/config.hpp"
 #include "qnet/timing.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -21,39 +18,6 @@ namespace {
 using namespace ftl;
 
 std::uint64_t g_seed = 55;  // supply-simulation streams; override with --seed
-
-void BM_PairSupplyHitRate(benchmark::State& state) {
-  const double rate = std::pow(10.0, static_cast<double>(state.range(0)));
-  qnet::QnetConfig cfg;
-  cfg.pair_rate_hz = rate;
-  qnet::BrokerStats stats{};
-  for (auto _ : state) {
-    util::Rng rng(g_seed);
-    stats = qnet::simulate_pair_supply(cfg, 1e4, 0.5, rng);
-  }
-  state.counters["pair_rate_hz"] = rate;
-  state.counters["hit_fraction"] = stats.hit_fraction();
-  state.counters["mean_chsh_win"] = stats.mean_chsh_win;
-}
-BENCHMARK(BM_PairSupplyHitRate)
-    ->DenseRange(3, 7, 1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void BM_BrokerThroughput(benchmark::State& state) {
-  // Raw event throughput of the DES broker (a substrate microbenchmark).
-  qnet::QnetConfig cfg;
-  cfg.pair_rate_hz = 1e5;
-  std::size_t events = 0;
-  for (auto _ : state) {
-    util::Rng rng(g_seed + 11);
-    const auto stats = qnet::simulate_pair_supply(cfg, 1e4, 0.2, rng);
-    events = stats.pairs_generated + stats.requests;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events) *
-                          state.iterations());
-}
-BENCHMARK(BM_BrokerThroughput)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
@@ -66,9 +30,6 @@ int main(int argc, char** argv) {
       ftl::bench::parse_args(argc, argv, g_seed);
   g_seed = obs_opts.seed;
   const ftl::bench::ObsSession obs_session("bench_qnet_timing", obs_opts);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
 
   std::cout << "\nDecision latency: classical RTT coordination vs pre-shared "
                "entanglement (Figure 2):\n";

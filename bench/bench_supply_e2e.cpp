@@ -3,8 +3,6 @@
 // pairs). This is the bench a deployment engineer would read: it says what
 // SPDC pair rate a cluster at a given load needs before the quantum load
 // balancer stops being a paper exercise.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <iostream>
 #include <memory>
@@ -61,22 +59,6 @@ lb::LbResult run_reference(const std::string& kind, std::size_t servers) {
   return run_lb_sim(cfg, s);
 }
 
-void BM_SupplyE2E(benchmark::State& state) {
-  const double rate = std::pow(10.0, static_cast<double>(state.range(0)) / 2.0);
-  lb::LbResult r{};
-  for (auto _ : state) {
-    r = run_with_rate(rate, 86);
-  }
-  state.counters["pair_rate_hz"] = rate;
-  state.counters["avg_queue_len"] = r.mean_queue_length;
-  state.counters["mean_delay"] = r.mean_delay;
-}
-// 10^3 .. 10^6 pairs/s in half-decade steps.
-BENCHMARK(BM_SupplyE2E)
-    ->DenseRange(6, 12, 1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
 // Shared obs flags (see bench_common.hpp): --seed, --metrics-out,
@@ -88,9 +70,6 @@ int main(int argc, char** argv) {
       ftl::bench::parse_args(argc, argv, g_seed);
   g_seed = obs_opts.seed;
   const ftl::bench::ObsSession obs_session("bench_supply_e2e", obs_opts);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
 
   const std::size_t servers = 86;  // load ~1.16, the knee
   std::cout << "\nEnd-to-end queue length at load 1.16 vs entanglement "

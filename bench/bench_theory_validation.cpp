@@ -3,8 +3,6 @@
 // Not a figure from the paper — this is the evidence that the simulator
 // the figures rest on is *correct*: exact discrete-time queueing formulas,
 // Little's law, and the stability-bound bracket around the Figure-4 knee.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -30,23 +28,6 @@ lb::LbResult run_pure_e(std::size_t n, std::size_t m) {
   return run_lb_sim(cfg, strat);
 }
 
-void BM_TheoryVsSim(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t m = 80;
-  lb::LbResult r{};
-  for (auto _ : state) {
-    r = run_pure_e(n, m);
-  }
-  const double theory = lb::unit_service_mean_queue(
-      lb::ArrivalMoments::from_binomial(n, 1.0 / static_cast<double>(m)));
-  state.counters["load"] = static_cast<double>(n) / static_cast<double>(m);
-  state.counters["sim_queue"] = r.mean_queue_length;
-  state.counters["theory_queue"] = theory;
-}
-BENCHMARK(BM_TheoryVsSim)
-    ->Arg(24)->Arg(40)->Arg(56)->Arg(72)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
 // Shared obs flags (see bench_common.hpp): --seed, --metrics-out,
@@ -58,9 +39,6 @@ int main(int argc, char** argv) {
       ftl::bench::parse_args(argc, argv, g_seed);
   g_seed = obs_opts.seed;
   const ftl::bench::ObsSession obs_session("bench_theory_validation", obs_opts);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
 
   std::cout << "\nSimulator vs exact discrete-time queueing theory "
                "(pure type-E workload, random assignment):\n";

@@ -21,10 +21,10 @@
 //     concrete content of the paper's closing caveat that "further work is
 //     needed to assess whether the quantum advantage can be robust and
 //     large enough to justify its cost".
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "correlate/typed_source.hpp"
@@ -88,44 +88,6 @@ lb::LbResult run(const games::AffinityGraph& graph, const games::XorGame& game,
   return run_typed_lb_sim(cfg, graph, *strat);
 }
 
-void BM_TypedBinary(benchmark::State& state, const std::string& kind) {
-  const auto servers = static_cast<std::size_t>(state.range(0));
-  const auto graph = binary_graph();
-  const auto game = games::XorGame::from_affinity(graph, true);
-  lb::LbResult r{};
-  for (auto _ : state) {
-    r = run(graph, game, kind, servers, {0.5, 0.5},
-            lb::TypedServicePolicy::kPriorityPairs, 0.0);
-  }
-  state.counters["load"] = 60.0 / static_cast<double>(servers);
-  state.counters["mean_delay"] = r.mean_delay;
-}
-BENCHMARK_CAPTURE(BM_TypedBinary, random, "random")
-    ->Arg(80)->Arg(64)->Arg(56)->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_TypedBinary, classical, "classical")
-    ->Arg(80)->Arg(64)->Arg(56)->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_TypedBinary, quantum, "quantum")
-    ->Arg(80)->Arg(64)->Arg(56)->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_TypedSubtypes(benchmark::State& state, const std::string& kind) {
-  const auto servers = static_cast<std::size_t>(state.range(0));
-  const auto graph = subtype_graph();
-  const auto game = games::XorGame::from_affinity(graph, true);
-  lb::LbResult r{};
-  for (auto _ : state) {
-    r = run(graph, game, kind, servers, {0.35, 0.35, 0.30},
-            lb::TypedServicePolicy::kPairsFirstFifo, 0.3);
-  }
-  state.counters["load"] = 60.0 / static_cast<double>(servers);
-  state.counters["mean_delay"] = r.mean_delay;
-}
-BENCHMARK_CAPTURE(BM_TypedSubtypes, random, "random")
-    ->Arg(80)->Arg(60)->Arg(46)->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_TypedSubtypes, classical, "classical")
-    ->Arg(80)->Arg(60)->Arg(46)->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK_CAPTURE(BM_TypedSubtypes, quantum, "quantum")
-    ->Arg(80)->Arg(60)->Arg(46)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
 // Shared obs flags (see bench_common.hpp): --seed, --metrics-out,
@@ -137,9 +99,6 @@ int main(int argc, char** argv) {
       ftl::bench::parse_args(argc, argv, g_seed);
   g_seed = obs_opts.seed;
   const ftl::bench::ObsSession obs_session("bench_typed_subtypes", obs_opts);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
 
   {
     const auto graph = binary_graph();

@@ -7,8 +7,6 @@
 // node visits — which is what lets this bench extend the curve to 12
 // vertices (the exhaustive path's 2^n leaf scan made 7 the practical
 // ceiling).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -45,21 +43,6 @@ double advantage_probability(std::size_t vertices, double p_exclusive,
   return static_cast<double>(advantaged) / graphs;
 }
 
-void BM_XorScaling(benchmark::State& state) {
-  const auto vertices = static_cast<std::size_t>(state.range(0));
-  double p = 0.0;
-  for (auto _ : state) {
-    p = advantage_probability(vertices, 0.5, kGraphsPerPoint,
-                              g_seed + vertices);
-  }
-  state.counters["vertices"] = static_cast<double>(vertices);
-  state.counters["p_advantage"] = p;
-}
-BENCHMARK(BM_XorScaling)
-    ->DenseRange(3, 12, 1)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 }  // namespace
 
 // Shared obs flags (see bench_common.hpp): --seed, --metrics-out,
@@ -71,9 +54,6 @@ int main(int argc, char** argv) {
       ftl::bench::parse_args(argc, argv, g_seed);
   g_seed = obs_opts.seed;
   const ftl::bench::ObsSession obs_session("bench_xor_scaling", obs_opts);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
 
   std::cout << "\nAdvantage probability vs vertex count (p_exclusive = 0.5, "
             << kGraphsPerPoint << " graphs/point):\n";

@@ -28,8 +28,8 @@ namespace ftl::util {
 /// flag: anything not beginning with '-', the bare "-" (stdin convention),
 /// and numeric tokens such as "-5", "-0.25", or "-1e-3". Dash tokens that
 /// are not numbers ("-v", "--flag") are flags in their own right and must
-/// not be swallowed as values. Args and the bench argv-stripping loop share
-/// this predicate so they always agree on flag/value pairing.
+/// not be swallowed as values. Args pairs each flag with its value by this
+/// rule.
 [[nodiscard]] bool is_value_token(std::string_view token);
 
 class Args {

@@ -1,59 +1,39 @@
-// bench::parse_args: flag extraction, argv stripping, and the hardened
-// flag/value pairing (negative numbers are values; unrelated dash tokens
-// are left for google-benchmark).
+// bench::parse_args: flag parsing and the hardened flag/value pairing
+// (negative numbers are values; unrelated dash tokens are not).
 #include "bench_common.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <string>
+#include <initializer_list>
 #include <vector>
 
 namespace ftl::bench {
 namespace {
 
-/// Mutable argv for parse_args (which rewrites it in place).
-class ArgvFixture {
- public:
-  explicit ArgvFixture(std::initializer_list<const char*> args) {
-    for (const char* a : args) storage_.emplace_back(a);
-    for (std::string& s : storage_) argv_.push_back(s.data());
-    argc_ = static_cast<int>(argv_.size());
-  }
-
-  int& argc() { return argc_; }
-  char** argv() { return argv_.data(); }
-
-  /// argv contents after parse_args rewrote it.
-  std::vector<std::string> remaining() const {
-    return {argv_.begin(), argv_.begin() + argc_};
-  }
-
- private:
-  std::vector<std::string> storage_;
-  std::vector<char*> argv_;
-  int argc_ = 0;
-};
+/// parse_args over a literal command line.
+Options parse(std::initializer_list<const char*> args,
+              std::uint64_t fallback_seed) {
+  const std::vector<const char*> argv(args);
+  return parse_args(static_cast<int>(argv.size()), argv.data(),
+                    fallback_seed);
+}
 
 TEST(BenchParseArgs, DefaultsWhenNoFlags) {
-  ArgvFixture fx({"bench", "--benchmark_filter=BM_Foo"});
-  const Options opts = parse_args(fx.argc(), fx.argv(), 7);
+  const Options opts = parse({"bench"}, 7);
   EXPECT_EQ(opts.seed, 7u);
   EXPECT_TRUE(opts.metrics_out.empty());
   EXPECT_TRUE(opts.trace_out.empty());
   EXPECT_TRUE(opts.prom_out.empty());
   EXPECT_EQ(opts.metrics_every_ms, 0u);
-  EXPECT_EQ(fx.remaining(),
-            (std::vector<std::string>{"bench", "--benchmark_filter=BM_Foo"}));
 }
 
-TEST(BenchParseArgs, StripsAllOwnedFlags) {
-  ArgvFixture fx({"bench", "--seed", "123", "--metrics-out=m.json",
-                  "--metrics-every=50", "--prom-out=m.prom",
-                  "--trace-out", "t.json", "--profile-out=p.folded",
-                  "--profile-hz", "997", "--profile-format=speedscope",
-                  "--benchmark_filter=X"});
-  const Options opts = parse_args(fx.argc(), fx.argv(), 7);
+TEST(BenchParseArgs, ReadsAllOwnedFlags) {
+  const Options opts =
+      parse({"bench", "--seed", "123", "--metrics-out=m.json",
+             "--metrics-every=50", "--prom-out=m.prom", "--trace-out",
+             "t.json", "--profile-out=p.folded", "--profile-hz", "997",
+             "--profile-format=speedscope"},
+            7);
   EXPECT_EQ(opts.seed, 123u);
   EXPECT_EQ(opts.metrics_out, "m.json");
   EXPECT_EQ(opts.metrics_every_ms, 50u);
@@ -62,13 +42,10 @@ TEST(BenchParseArgs, StripsAllOwnedFlags) {
   EXPECT_EQ(opts.profile_out, "p.folded");
   EXPECT_EQ(opts.profile_hz, 997);
   EXPECT_EQ(opts.profile_format, "speedscope");
-  EXPECT_EQ(fx.remaining(),
-            (std::vector<std::string>{"bench", "--benchmark_filter=X"}));
 }
 
 TEST(BenchParseArgs, ProfileDefaults) {
-  ArgvFixture fx({"bench"});
-  const Options opts = parse_args(fx.argc(), fx.argv(), 7);
+  const Options opts = parse({"bench"}, 7);
   EXPECT_TRUE(opts.profile_out.empty());
   EXPECT_EQ(opts.profile_hz, 99);
   EXPECT_EQ(opts.profile_format, "folded");
@@ -76,66 +53,44 @@ TEST(BenchParseArgs, ProfileDefaults) {
 
 TEST(BenchParseArgs, UnknownProfileFormatDiesLoudly) {
   // A silent typo here would drop the profile the user asked for.
-  ArgvFixture fx({"bench", "--profile-out=p", "--profile-format=pprof"});
-  EXPECT_DEATH((void)parse_args(fx.argc(), fx.argv(), 7),
-               "unknown --profile-format");
+  EXPECT_DEATH(
+      (void)parse({"bench", "--profile-out=p", "--profile-format=pprof"}, 7),
+      "unknown --profile-format");
 }
 
 TEST(BenchParseArgs, NegativeNumberValueIsConsumedWithItsFlag) {
-  // A separate value token beginning with '-' must be stripped together
-  // with the flag, not leaked to benchmark::Initialize (which would treat
-  // it as an unknown flag and abort).
-  ArgvFixture fx({"bench", "--seed", "-5", "--benchmark_filter=X"});
-  const Options opts = parse_args(fx.argc(), fx.argv(), 7);
+  const Options opts = parse({"bench", "--seed", "-5"}, 7);
   EXPECT_EQ(opts.seed, static_cast<std::uint64_t>(-5));
-  EXPECT_EQ(fx.remaining(),
-            (std::vector<std::string>{"bench", "--benchmark_filter=X"}));
 }
 
 TEST(BenchParseArgs, DashTokenThatIsNotANumberIsNotSwallowed) {
-  // "-v" is not a value; --seed falls back and "-v" stays in argv.
-  ArgvFixture fx({"bench", "--seed", "-v"});
-  const Options opts = parse_args(fx.argc(), fx.argv(), 7);
+  // "-v" is not a value, so --seed is bare and falls back.
+  const Options opts = parse({"bench", "--seed", "-v"}, 7);
   EXPECT_EQ(opts.seed, 7u);
-  EXPECT_EQ(fx.remaining(), (std::vector<std::string>{"bench", "-v"}));
 }
 
 TEST(BenchParseArgs, FlagFollowedByFlagDoesNotConsume) {
-  ArgvFixture fx({"bench", "--seed", "--metrics-out=m.json"});
-  const Options opts = parse_args(fx.argc(), fx.argv(), 7);
+  const Options opts = parse({"bench", "--seed", "--metrics-out=m.json"}, 7);
   EXPECT_EQ(opts.seed, 7u);  // bare --seed has no value: fallback
   EXPECT_EQ(opts.metrics_out, "m.json");
-  EXPECT_EQ(fx.remaining(), (std::vector<std::string>{"bench"}));
 }
 
 TEST(BenchParseArgs, SeedAtEndOfArgv) {
-  ArgvFixture fx({"bench", "--seed"});
-  const Options opts = parse_args(fx.argc(), fx.argv(), 9);
+  const Options opts = parse({"bench", "--seed"}, 9);
   EXPECT_EQ(opts.seed, 9u);
-  EXPECT_EQ(fx.remaining(), (std::vector<std::string>{"bench"}));
-}
-
-TEST(BenchParseArgs, ExtractSeedShorthand) {
-  ArgvFixture fx({"bench", "--seed", "31"});
-  EXPECT_EQ(extract_seed(fx.argc(), fx.argv(), 7), 31u);
-  EXPECT_EQ(fx.remaining(), (std::vector<std::string>{"bench"}));
 }
 
 TEST(BenchParseArgs, EqualsFormNegativeSeed) {
-  ArgvFixture fx({"bench", "--seed=-1"});
-  const Options opts = parse_args(fx.argc(), fx.argv(), 7);
+  const Options opts = parse({"bench", "--seed=-1"}, 7);
   EXPECT_EQ(opts.seed, static_cast<std::uint64_t>(-1));
-  EXPECT_EQ(fx.remaining(), (std::vector<std::string>{"bench"}));
 }
 
 TEST(BenchParseArgs, GarbageSeedDiesLoudly) {
   // A mistyped `--seed 42x` must abort, not silently truncate: a bench run
   // recorded under the wrong seed poisons the trajectory history.
-  ArgvFixture fx({"bench", "--seed", "42x"});
-  EXPECT_DEATH((void)parse_args(fx.argc(), fx.argv(), 7),
+  EXPECT_DEATH((void)parse({"bench", "--seed", "42x"}, 7),
                "invalid value for flag --seed");
-  ArgvFixture fx2({"bench", "--metrics-every=soon"});
-  EXPECT_DEATH((void)parse_args(fx2.argc(), fx2.argv(), 7),
+  EXPECT_DEATH((void)parse({"bench", "--metrics-every=soon"}, 7),
                "invalid value for flag --metrics-every");
 }
 

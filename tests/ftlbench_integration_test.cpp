@@ -6,6 +6,7 @@
 // Paths are injected by CMake:
 //   FTL_FTLBENCH_BIN  — the ftlbench executable
 //   FTL_BENCH_BIN_DIR — directory holding the bench_* binaries
+//   FTL_BASELINE_DIR  — the committed trajectories (bench/baselines)
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -21,8 +22,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// The quickest bench in the suite; --benchmark_filter=NONE skips its gbench
-// loops, leaving just the section-2 table code.
+// A quick bench (the section-2 table) whose baseline carries counters.
 constexpr const char* kBench = "bench_chsh_values";
 
 class FtlbenchIntegration : public ::testing::Test {
@@ -45,7 +45,7 @@ class FtlbenchIntegration : public ::testing::Test {
                                std::size_t repetitions) const {
     return std::string(FTL_FTLBENCH_BIN) + " run --bench-dir=" +
            FTL_BENCH_BIN_DIR + " --out-dir=" + out_dir +
-           " --benches=" + kBench + " --filter=NONE --seed=42" +
+           " --benches=" + kBench + " --seed=42" +
            " --repetitions=" + std::to_string(repetitions) + " >/dev/null";
   }
 
@@ -75,6 +75,23 @@ TEST_F(FtlbenchIntegration, RunAppendsValidTrajectory) {
   EXPECT_EQ(t2->entries.size(), 3u);
 }
 
+TEST_F(FtlbenchIntegration, DefaultRunRecordsTheCommittedBaseline) {
+  // A plain `ftlbench run` at the baseline seed must record exactly the
+  // counters of the committed baseline: every bench has one mode, and its
+  // counters do not depend on how long anything took.
+  const fs::path out = root_ / "default";
+  ASSERT_EQ(run(ftlbench_run_cmd(out.string(), 1)), 0);
+  const std::optional<Trajectory> t =
+      load_trajectory((out / trajectory_filename(kBench)).string());
+  ASSERT_TRUE(t.has_value());
+  ASSERT_EQ(t->entries.size(), 1u);
+  const std::optional<Trajectory> baseline = load_trajectory(
+      (fs::path(FTL_BASELINE_DIR) / trajectory_filename(kBench)).string());
+  ASSERT_TRUE(baseline.has_value());
+  ASSERT_FALSE(baseline->entries.empty());
+  EXPECT_EQ(t->entries.front().counters, baseline->entries.back().counters);
+}
+
 TEST_F(FtlbenchIntegration, CompareGateOnRealAndInjectedData) {
   const fs::path base = root_ / "base";
   const fs::path cand = root_ / "cand";
@@ -90,9 +107,9 @@ TEST_F(FtlbenchIntegration, CompareGateOnRealAndInjectedData) {
 
   // Inject a 10x wall-time slowdown into the candidate trajectory: the gate
   // must trip (exit 1). The slowdown is set against the baseline run, not
-  // the candidate's own wall time: the two real runs are only ~20 ms each,
-  // and on a loaded machine (or on a binary's cold first exec) one of them
-  // can take several times longer than the other.
+  // the candidate's own wall time: the two real runs take well under a
+  // second each, and on a loaded machine (or on a binary's cold first exec)
+  // one of them can take several times longer than the other.
   const std::optional<Trajectory> b =
       load_trajectory((base / trajectory_filename(kBench)).string());
   ASSERT_TRUE(b.has_value());
@@ -132,7 +149,7 @@ TEST_F(FtlbenchIntegration, MetricsEveryProducesSnapshots) {
   const fs::path report = root_ / "report.json";
   const std::string cmd = std::string(FTL_BENCH_BIN_DIR) + "/" + kBench +
                           " --seed 42 --metrics-out=" + report.string() +
-                          " --metrics-every=50 --benchmark_filter=NONE" +
+                          " --metrics-every=50" +
                           " >/dev/null 2>&1";
   ASSERT_EQ(run(cmd), 0);
   const fs::path series = report.string() + ".series";

@@ -257,7 +257,9 @@ TEST(CompareMetric, NoisyOverlapDoesNotTripTheGate) {
   CompareOptions opts;
   opts.threshold = 1.01;
   const MetricComparison cmp = compare_metric(base, cand, "wall_time_s", opts);
-  if (cmp.ci.lo <= 1.0) EXPECT_FALSE(cmp.regressed);
+  if (cmp.ci.lo <= 1.0) {
+    EXPECT_FALSE(cmp.regressed);
+  }
 }
 
 TEST(CompareMetric, MissingMetricYieldsNoVerdict) {

@@ -1,8 +1,8 @@
 // ftlbench — continuous-benchmarking driver for the bench suite.
 //
 //   ftlbench run --bench-dir=build/bench [--out-dir=.] [--benches=a,b]
-//                [--seed=42] [--repetitions=1] [--filter=<gbench regex>]
-//                [--metrics-every=<ms>] [--verbose]
+//                [--seed=42] [--repetitions=1] [--metrics-every=<ms>]
+//                [--verbose]
 //       Runs each bench binary with a pinned seed, collects its
 //       `ftl.obs.run_report/v1`, and appends one entry per repetition to
 //       `<out-dir>/BENCH_<name>.json` (schema ftl.obs.bench_trajectory/v1).
@@ -30,8 +30,7 @@
 //       is given).
 //
 //   ftlbench profile <bench> --bench-dir=<dir> [--out=<path>] [--hz=99]
-//                [--seed=N] [--filter=<regex>] [--format=folded|speedscope]
-//                [--top=15]
+//                [--seed=N] [--format=folded|speedscope] [--top=15]
 //       Runs one bench binary under the in-process sampling profiler and
 //       writes the profile (default `<bench>.folded`). For folded output,
 //       prints the top-N frames by self weight.
@@ -73,8 +72,8 @@ using namespace ftl::benchtool;
 int usage(std::ostream& out) {
   out << "usage:\n"
          "  ftlbench run --bench-dir=<dir> [--out-dir=.] [--benches=a,b]\n"
-         "               [--seed=42] [--repetitions=1] [--filter=<regex>]\n"
-         "               [--metrics-every=<ms>] [--verbose]\n"
+         "               [--seed=42] [--repetitions=1] [--metrics-every=<ms>]\n"
+         "               [--verbose]\n"
          "  ftlbench compare <baseline> <candidate>\n"
          "               [--metric=wall_time_s[,...]] [--threshold=1.25]\n"
          "               [--confidence=0.95] [--resamples=2000] "
@@ -83,8 +82,8 @@ int usage(std::ostream& out) {
          "  ftlbench trace-merge <client_trace.json> <server_trace.json>\n"
          "               [--out=merged.json] [--summary-out=summary.json]\n"
          "  ftlbench profile <bench> --bench-dir=<dir> [--out=<path>]\n"
-         "               [--hz=99] [--seed=N] [--filter=<regex>]\n"
-         "               [--format=folded|speedscope] [--top=15]\n"
+         "               [--hz=99] [--seed=N] [--format=folded|speedscope]\n"
+         "               [--top=15]\n"
          "  ftlbench profile-diff <baseline.folded> <candidate.folded>\n"
          "               [--top=20] [--gate-pp=<points>]\n";
   return 2;
@@ -128,7 +127,6 @@ int cmd_run(const util::Args& args) {
   config.seed = static_cast<std::uint64_t>(
       args.get("seed", static_cast<long long>(42)));
   config.repetitions = args.get("repetitions", static_cast<std::size_t>(1));
-  config.gbench_filter = args.get("filter", std::string());
   config.metrics_every_ms = static_cast<std::uint64_t>(
       args.get("metrics-every", static_cast<long long>(0)));
   config.verbose = args.get("verbose", false);
@@ -321,7 +319,6 @@ int cmd_profile(const util::Args& args) {
               << "'\n";
     return 2;
   }
-  config.gbench_filter = args.get("filter", std::string());
   if (args.has("seed")) {
     config.has_seed = true;
     config.seed =

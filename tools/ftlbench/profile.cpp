@@ -157,8 +157,6 @@ bool run_bench_profiled(const ProfiledRunConfig& config, std::string& error) {
   cmd += " --profile-hz " + std::to_string(config.hz);
   cmd += " --profile-format=" + shell_quote(config.format);
   if (config.has_seed) cmd += " --seed " + std::to_string(config.seed);
-  if (!config.gbench_filter.empty())
-    cmd += " --benchmark_filter=" + shell_quote(config.gbench_filter);
   if (!config.log_path.empty())
     cmd += " >" + shell_quote(config.log_path) + " 2>&1";
 

@@ -69,7 +69,6 @@ struct ProfiledRunConfig {
   std::string format = "folded";  ///< --profile-format
   bool has_seed = false;        ///< pass --seed?
   std::uint64_t seed = 42;
-  std::string gbench_filter;    ///< --benchmark_filter (empty = all)
   std::string log_path;         ///< child stdout/stderr (empty = inherit)
 };
 

@@ -90,8 +90,6 @@ RunOutcome run_bench_once(const RunConfig& config, const std::string& bench) {
   std::string cmd = shell_quote(binary.string());
   cmd += " --seed " + std::to_string(config.seed);
   cmd += " --metrics-out=" + shell_quote(report_path.string());
-  if (!config.gbench_filter.empty())
-    cmd += " --benchmark_filter=" + shell_quote(config.gbench_filter);
   if (config.metrics_every_ms > 0)
     cmd += " --metrics-every=" + std::to_string(config.metrics_every_ms);
   cmd += " >" + shell_quote(log_path.string()) + " 2>&1";

@@ -22,10 +22,6 @@ struct RunConfig {
   std::uint64_t seed = 42;
   /// Entries appended per bench (repeated runs feed the bootstrap CI).
   std::size_t repetitions = 1;
-  /// --benchmark_filter passed through to google-benchmark; empty = all.
-  /// "NONE" skips the timed loops but still runs each bench's
-  /// reproduction/validation code — the quick-subset mode CI uses.
-  std::string gbench_filter;
   /// Also pass --metrics-every=<ms> to each bench (0 = off).
   std::uint64_t metrics_every_ms = 0;
   bool verbose = false;
