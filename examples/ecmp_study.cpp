@@ -5,23 +5,35 @@
 // reduction that makes global entanglement useless here.
 //
 //   build/examples/ecmp_study [num_switches] [rounds]
+//
+// num_switches is 2..12 (default 4) and rounds at least 1 (default
+// 100000); anything else prints the usage line and exits 2.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
+#include <vector>
 
 #include "ecmp/no_signaling.hpp"
 #include "ecmp/simulator.hpp"
 #include "ecmp/strategies.hpp"
 #include "qcore/gates.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace ftl;
-  const std::size_t n =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 4;
-  const std::size_t rounds =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 100000;
+  const std::optional<long long> n_arg =
+      argc > 1 ? util::parse_long_long(argv[1]) : 4;
+  const std::optional<long long> rounds_arg =
+      argc > 2 ? util::parse_long_long(argv[2]) : 100000;
+  if (!n_arg || *n_arg < 2 || *n_arg > 12 || !rounds_arg || *rounds_arg < 1) {
+    std::fputs("usage: build/examples/ecmp_study [num_switches] [rounds]\n",
+               stderr);
+    return 2;
+  }
+  const auto n = static_cast<std::size_t>(*n_arg);
+  const auto rounds = static_cast<std::size_t>(*rounds_arg);
 
   ecmp::EcmpConfig cfg;
   cfg.active = 2;
@@ -40,8 +52,12 @@ int main(int argc, char** argv) {
   ecmp::IndependentUniform ind(n, 2);
   ecmp::SharedPartition part(n, 2);
   ecmp::PairedSinglets singlets(n);
-  ecmp::GhzAngles ghz(std::vector<double>(n, M_PI / 4.0));
-  ecmp::WAngles w(std::vector<double>(n, 0.0));
+  ecmp::LocalMeasurements ghz(
+      "ghz (all at pi/4)", qcore::StateVec::ghz(n),
+      std::vector<qcore::CMat>(n, qcore::gates::real_basis(M_PI / 4.0)));
+  ecmp::LocalMeasurements w(
+      "w (computational)", ecmp::w_state(n),
+      std::vector<qcore::CMat>(n, qcore::gates::real_basis(0.0)));
   row(ind);
   row(part);
   row(singlets);
@@ -49,12 +65,9 @@ int main(int argc, char** argv) {
   row(w);
   t.print(std::cout);
 
-  std::printf("\nclassical optimum (balanced partition): %.4f\n",
+  std::printf("\nbalanced partition: %.4f, the optimum over every strategy, "
+              "entangled or not, since a switch gets no input (THEORY §8)\n",
               ecmp::SharedPartition::pair_collision_probability(n, 2));
-  if (n >= 3 && n <= 6) {
-    std::printf("best GHZ angle assignment (grid search): %.4f\n",
-                ecmp::grid_search_ghz_min_collision(n, 16));
-  }
 
   // The no-signaling reduction on GHZ(3): whatever basis the inactive
   // switch C picks, A and B's joint distribution is untouched.

@@ -7,25 +7,43 @@
 // information" would reach for first.
 //
 //   build/examples/game_explorer [num_types] [p_exclusive] [seed]
+//
+// num_types is 2..6 (default 5): the Tsirelson realisation spans up to
+// 2*num_types dimensions and its register holds at most 12 qubits.
+// p_exclusive is 0..1 (default 0.5) and seed at least 0 (default 2025);
+// anything else prints the usage line and exits 2.
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "games/box.hpp"
 #include "games/chsh.hpp"
 #include "games/realize.hpp"
 #include "games/seesaw.hpp"
 #include "games/xor_game.hpp"
+#include "util/args.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace ftl;
-  const std::size_t n =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 5;
-  const double p_exclusive = argc > 2 ? std::atof(argv[2]) : 0.5;
-  const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10)
-                                      : 2025;
+  const std::optional<long long> n_arg =
+      argc > 1 ? util::parse_long_long(argv[1]) : 5;
+  const std::optional<double> p_arg =
+      argc > 2 ? util::parse_double(argv[2]) : 0.5;
+  const std::optional<long long> seed_arg =
+      argc > 3 ? util::parse_long_long(argv[3]) : 2025;
+  if (!n_arg || *n_arg < 2 || *n_arg > 6 || !p_arg ||
+      !(*p_arg >= 0.0 && *p_arg <= 1.0) || !seed_arg || *seed_arg < 0) {
+    std::fputs(
+        "usage: build/examples/game_explorer [num_types] [p_exclusive] "
+        "[seed]\n",
+        stderr);
+    return 2;
+  }
+  const auto n = static_cast<std::size_t>(*n_arg);
+  const double p_exclusive = *p_arg;
+  const auto seed = static_cast<std::uint64_t>(*seed_arg);
 
   util::Rng rng(seed);
   const games::AffinityGraph graph =

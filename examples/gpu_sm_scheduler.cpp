@@ -8,12 +8,17 @@
 // co-location with the other kernel of the same texture.
 //
 //   build/examples/gpu_sm_scheduler [num_sms] [rounds]
+//
+// num_sms is at least 2 (default 16) and rounds 1..2^31-1 (default
+// 200000); anything else prints the usage line and exits 2.
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <optional>
 
 #include "correlate/decision_source.hpp"
+#include "util/args.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -65,9 +70,18 @@ Outcome run(correlate::PairedDecisionSource& source, std::size_t num_sms,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t num_sms =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 16;
-  const int rounds = argc > 2 ? std::atoi(argv[2]) : 200000;
+  const std::optional<long long> sms_arg =
+      argc > 1 ? util::parse_long_long(argv[1]) : 16;
+  const std::optional<long long> rounds_arg =
+      argc > 2 ? util::parse_long_long(argv[2]) : 200000;
+  if (!sms_arg || *sms_arg < 2 || !rounds_arg || *rounds_arg < 1 ||
+      *rounds_arg > INT_MAX) {
+    std::fputs("usage: build/examples/gpu_sm_scheduler [num_sms] [rounds]\n",
+               stderr);
+    return 2;
+  }
+  const auto num_sms = static_cast<std::size_t>(*sms_arg);
+  const auto rounds = static_cast<int>(*rounds_arg);
 
   util::Rng rng(99);
   util::Table t({"dispatcher coordination", "texture cache-hit rate",

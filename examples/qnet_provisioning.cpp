@@ -6,19 +6,37 @@
 // Section 3.
 //
 //   build/examples/qnet_provisioning [request_rate_hz] [fiber_km]
+//
+// request_rate_hz is a finite number above 0 (default 1e4) and fiber_km a
+// finite number at least 0 (default 0.5); anything else prints the usage
+// line and exits 2.
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "core/coordinator.hpp"
 #include "qnet/decoherence.hpp"
 #include "qnet/timing.hpp"
+#include "util/args.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace ftl;
-  const double request_rate = argc > 1 ? std::atof(argv[1]) : 1e4;
-  const double fiber_km = argc > 2 ? std::atof(argv[2]) : 0.5;
+  const std::optional<double> rate_arg =
+      argc > 1 ? util::parse_double(argv[1]) : 1e4;
+  const std::optional<double> km_arg =
+      argc > 2 ? util::parse_double(argv[2]) : 0.5;
+  if (!rate_arg || !std::isfinite(*rate_arg) || *rate_arg <= 0.0 || !km_arg ||
+      !std::isfinite(*km_arg) || *km_arg < 0.0) {
+    std::fputs(
+        "usage: build/examples/qnet_provisioning [request_rate_hz] "
+        "[fiber_km]\n",
+        stderr);
+    return 2;
+  }
+  const double request_rate = *rate_arg;
+  const double fiber_km = *km_arg;
 
   std::printf("provisioning for %.0f requests/s over %.2f km fiber\n\n",
               request_rate, fiber_km);

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
-#include "qcore/density.hpp"
-#include "qcore/gates.hpp"
-#include "qcore/state.hpp"
 #include "util/assert.hpp"
 
 namespace ftl::ecmp {
@@ -48,60 +46,67 @@ double SharedPartition::pair_collision_probability(std::size_t n,
   return same / static_cast<double>(n * (n - 1));
 }
 
-GhzAngles::GhzAngles(std::vector<double> angles) : angles_(std::move(angles)) {
-  FTL_ASSERT_MSG(angles_.size() >= 2 && angles_.size() <= 12,
-                 "GHZ strategy sized for 2..12 switches");
+namespace {
+
+/// Switch k's path in an n-switch path string s: qubit k's outcome sits at
+/// bit n-1-k, the StateVec convention.
+std::size_t path_of(std::size_t s, std::size_t k, std::size_t n) {
+  return (s >> (n - 1 - k)) & 1U;
 }
 
-void GhzAngles::choose(std::vector<std::size_t>& out, util::Rng& rng) {
-  const std::size_t n = angles_.size();
-  out.resize(n);
-  qcore::StateVec psi = qcore::StateVec::ghz(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<std::size_t>(
-        psi.measure(i, qcore::gates::real_basis(angles_[i]), rng));
+}  // namespace
+
+LocalMeasurements::LocalMeasurements(std::string name,
+                                     const qcore::StateVec& state,
+                                     const std::vector<qcore::CMat>& bases)
+    : name_(std::move(name)), n_(state.num_qubits()) {
+  FTL_ASSERT_MSG(n_ >= 2 && n_ <= 12,
+                 "local-measurement strategy sized for 2..12 switches");
+  FTL_ASSERT(bases.size() == n_);
+  // Rotating qubit k by bases[k]^dagger turns its measurement into a
+  // computational one, so the Born joint of all N outcomes is the rotated
+  // state's basis-state probabilities.
+  qcore::StateVec rotated = state;
+  for (std::size_t k = 0; k < n_; ++k) {
+    FTL_ASSERT_MSG(bases[k].is_unitary(1e-8),
+                   "measurement basis must be an orthonormal (unitary) frame");
+    rotated.apply1(bases[k].adjoint(), k);
   }
+  joint_ = rotated.probabilities();
+  cum_.resize(joint_.size() - 1);
+  std::partial_sum(joint_.begin(), joint_.end() - 1, cum_.begin());
 }
 
-double GhzAngles::pair_collision_probability(std::size_t i,
-                                             std::size_t j) const {
-  FTL_ASSERT(i < angles_.size() && j < angles_.size() && i != j);
-  // Exact Born computation: P(same) = sum_o P(i -> o) P(j -> o | i -> o),
-  // evaluated by deterministic density-matrix collapse.
-  const qcore::CMat bi = qcore::gates::real_basis(angles_[i]);
-  const qcore::CMat bj = qcore::gates::real_basis(angles_[j]);
-  const qcore::Density rho =
-      qcore::Density::from_state(qcore::StateVec::ghz(angles_.size()));
+void LocalMeasurements::choose(std::vector<std::size_t>& out,
+                               util::Rng& rng) {
+  const auto s = static_cast<std::size_t>(
+      std::upper_bound(cum_.begin(), cum_.end(), rng.uniform()) -
+      cum_.begin());
+  out.resize(n_);
+  for (std::size_t k = 0; k < n_; ++k) out[k] = path_of(s, k, n_);
+}
+
+double LocalMeasurements::pair_collision_probability(std::size_t i,
+                                                     std::size_t j) const {
+  FTL_ASSERT(i < n_ && j < n_ && i != j);
   double p_same = 0.0;
-  for (int o = 0; o < 2; ++o) {
-    const double p_i = rho.outcome_probability(i, bi, o);
-    if (p_i <= 1e-15) continue;
-    const auto [after, p_check] = rho.collapse(i, bi, o);
-    (void)p_check;
-    p_same += p_i * after.outcome_probability(j, bj, o);
+  for (std::size_t s = 0; s < joint_.size(); ++s) {
+    if (path_of(s, i, n_) == path_of(s, j, n_)) p_same += joint_[s];
   }
   return p_same;
 }
 
-double GhzAngles::mean_pair_collision() const {
-  const std::size_t n = angles_.size();
+double LocalMeasurements::mean_pair_collision() const {
   double total = 0.0;
-  std::size_t pairs = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
+  for (std::size_t i = 0; i < n_; ++i) {
+    for (std::size_t j = i + 1; j < n_; ++j) {
       total += pair_collision_probability(i, j);
-      ++pairs;
     }
   }
-  return total / static_cast<double>(pairs);
+  return total / static_cast<double>(n_ * (n_ - 1) / 2);
 }
 
-WAngles::WAngles(std::vector<double> angles) : angles_(std::move(angles)) {
-  FTL_ASSERT_MSG(angles_.size() >= 2 && angles_.size() <= 12,
-                 "W strategy sized for 2..12 switches");
-}
-
-qcore::StateVec WAngles::w_state(std::size_t n) {
+qcore::StateVec w_state(std::size_t n) {
   FTL_ASSERT(n >= 2);
   std::vector<qcore::Cx> amps(std::size_t{1} << n, qcore::Cx{0, 0});
   const double r = 1.0 / std::sqrt(static_cast<double>(n));
@@ -109,96 +114,6 @@ qcore::StateVec WAngles::w_state(std::size_t n) {
     amps[std::size_t{1} << k] = qcore::Cx{r, 0};
   }
   return qcore::StateVec::from_amplitudes(std::move(amps));
-}
-
-void WAngles::choose(std::vector<std::size_t>& out, util::Rng& rng) {
-  const std::size_t n = angles_.size();
-  out.resize(n);
-  qcore::StateVec psi = w_state(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<std::size_t>(
-        psi.measure(i, qcore::gates::real_basis(angles_[i]), rng));
-  }
-}
-
-double WAngles::pair_collision_probability(std::size_t i,
-                                           std::size_t j) const {
-  FTL_ASSERT(i < angles_.size() && j < angles_.size() && i != j);
-  const qcore::CMat bi = qcore::gates::real_basis(angles_[i]);
-  const qcore::CMat bj = qcore::gates::real_basis(angles_[j]);
-  const qcore::Density rho =
-      qcore::Density::from_state(w_state(angles_.size()));
-  double p_same = 0.0;
-  for (int o = 0; o < 2; ++o) {
-    const double p_i = rho.outcome_probability(i, bi, o);
-    if (p_i <= 1e-15) continue;
-    const auto [after, p_check] = rho.collapse(i, bi, o);
-    (void)p_check;
-    p_same += p_i * after.outcome_probability(j, bj, o);
-  }
-  return p_same;
-}
-
-double WAngles::mean_pair_collision() const {
-  const std::size_t n = angles_.size();
-  double total = 0.0;
-  std::size_t pairs = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      total += pair_collision_probability(i, j);
-      ++pairs;
-    }
-  }
-  return total / static_cast<double>(pairs);
-}
-
-namespace {
-
-/// Exhausts all grid^n angle assignments against a pairwise collision
-/// table (valid because both GHZ and W reduced pair states are identical
-/// across pairs by symmetry).
-double min_mean_collision(const std::vector<std::vector<double>>& table,
-                          std::size_t n, std::size_t grid_points) {
-  double best = 1.0;
-  std::vector<std::size_t> idx(n, 0);
-  const double num_pairs = static_cast<double>(n * (n - 1) / 2);
-  for (;;) {
-    double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) total += table[idx[i]][idx[j]];
-    }
-    best = std::min(best, total / num_pairs);
-    std::size_t k = 0;
-    while (k < n && ++idx[k] == grid_points) {
-      idx[k] = 0;
-      ++k;
-    }
-    if (k == n) break;
-  }
-  return best;
-}
-
-}  // namespace
-
-double grid_search_w_min_collision(std::size_t n, std::size_t grid_points) {
-  FTL_ASSERT(n >= 3 && n <= 6);
-  FTL_ASSERT(grid_points >= 2 && grid_points <= 64);
-  std::vector<double> grid(grid_points);
-  for (std::size_t g = 0; g < grid_points; ++g) {
-    grid[g] = M_PI * static_cast<double>(g) / static_cast<double>(grid_points);
-  }
-  std::vector<std::vector<double>> table(grid_points,
-                                         std::vector<double>(grid_points));
-  for (std::size_t a = 0; a < grid_points; ++a) {
-    for (std::size_t b = 0; b < grid_points; ++b) {
-      std::vector<double> probe_angles(n, 0.0);
-      probe_angles[0] = grid[a];
-      probe_angles[1] = grid[b];
-      WAngles probe(probe_angles);
-      table[a][b] = probe.pair_collision_probability(0, 1);
-    }
-  }
-  return min_mean_collision(table, n, grid_points);
 }
 
 PairedSinglets::PairedSinglets(std::size_t n) : n_(n) { FTL_ASSERT(n >= 2); }
@@ -216,27 +131,6 @@ void PairedSinglets::choose(std::vector<std::size_t>& out, util::Rng& rng) {
     out[i + 1] = 1 - r;
   }
   if (i < n_) out[i] = rng.uniform_int(2);
-}
-
-double grid_search_ghz_min_collision(std::size_t n, std::size_t grid_points) {
-  FTL_ASSERT(n >= 3 && n <= 6);
-  FTL_ASSERT(grid_points >= 2 && grid_points <= 64);
-  // For GHZ(n >= 3) the reduced state of every pair is identical, so the
-  // pairwise collision probability is a function of the two angles only;
-  // precompute it on the grid.
-  std::vector<double> grid(grid_points);
-  for (std::size_t g = 0; g < grid_points; ++g) {
-    grid[g] = M_PI * static_cast<double>(g) / static_cast<double>(grid_points);
-  }
-  std::vector<std::vector<double>> table(grid_points,
-                                         std::vector<double>(grid_points));
-  for (std::size_t a = 0; a < grid_points; ++a) {
-    for (std::size_t b = 0; b < grid_points; ++b) {
-      GhzAngles probe({grid[a], grid[b], 0.0});
-      table[a][b] = probe.pair_collision_probability(0, 1);
-    }
-  }
-  return min_mean_collision(table, n, grid_points);
 }
 
 }  // namespace ftl::ecmp

@@ -8,8 +8,10 @@
 //
 // The paper proves that entangling *inactive* switches cannot help (the
 // no-signaling reduction, see no_signaling.hpp) and conjectures no quantum
-// advantage at all; the strategies here let the benches probe that
-// conjecture empirically for small N.
+// advantage at all. Here a switch gets no input, so any entangled strategy
+// is one fixed measurement per switch: LocalMeasurements computes the
+// joint distribution that yields, and THEORY §8 ("Input-free switches")
+// proves that no such joint beats the balanced partition.
 #pragma once
 
 #include <cstddef>
@@ -73,22 +75,24 @@ class SharedPartition final : public EcmpStrategy {
   std::vector<std::size_t> assignment_;
 };
 
-/// N-way GHZ entanglement, each switch measuring its qubit in a fixed real
-/// basis angle (M = 2 paths; binary outcomes). Because the two-qubit
-/// reduced state of a GHZ(n >= 3) is the classical mixture
-/// (|00><00| + |11><11|)/2, this cannot beat the classical partition — the
-/// bench verifies exactly that via grid search over angles.
-class GhzAngles final : public EcmpStrategy {
+/// An input-free entangled strategy over M = 2 paths: switch k measures
+/// qubit k of `state` in the fixed basis `bases[k]` (basis vectors in the
+/// columns, as joint_ab takes them) and takes path 0 or 1 by its outcome.
+/// Fixed measurements give one joint distribution over all 2^N path
+/// strings; it is computed once, a round samples it with one uniform, and
+/// every collision probability is a sum over it (THEORY §8).
+class LocalMeasurements final : public EcmpStrategy {
  public:
-  GhzAngles(std::vector<double> angles);
-  [[nodiscard]] std::string name() const override { return "ghz-angles"; }
-  [[nodiscard]] std::size_t num_switches() const override {
-    return angles_.size();
-  }
+  /// `state` holds one qubit per switch, 2..12 switches; each basis is a
+  /// 2x2 unitary.
+  LocalMeasurements(std::string name, const qcore::StateVec& state,
+                    const std::vector<qcore::CMat>& bases);
+  [[nodiscard]] std::string name() const override { return name_; }
+  [[nodiscard]] std::size_t num_switches() const override { return n_; }
   [[nodiscard]] std::size_t num_paths() const override { return 2; }
   void choose(std::vector<std::size_t>& out, util::Rng& rng) override;
 
-  /// Exact P(switch i and switch j output the same bit).
+  /// Exact P(switch i and switch j take the same path).
   [[nodiscard]] double pair_collision_probability(std::size_t i,
                                                   std::size_t j) const;
 
@@ -97,39 +101,16 @@ class GhzAngles final : public EcmpStrategy {
   [[nodiscard]] double mean_pair_collision() const;
 
  private:
-  std::vector<double> angles_;
+  std::string name_;
+  std::size_t n_;
+  std::vector<double> joint_;  // P(path string s), s in [0, 2^N)
+  /// cum_[s] = P(path string <= s) for all but the last string, which
+  /// absorbs the remaining mass including fp round-off.
+  std::vector<double> cum_;
 };
 
-/// N-way W-state entanglement, each switch measuring a fixed real angle
-/// (M = 2). Unlike GHZ, the W state's two-qubit reduced states are
-/// *entangled* (concurrence 2/n), so this probes the paper's §4.2
-/// conjecture with a genuinely non-classical pairwise resource — the
-/// bench shows it still cannot beat the classical partition.
-class WAngles final : public EcmpStrategy {
- public:
-  explicit WAngles(std::vector<double> angles);
-  [[nodiscard]] std::string name() const override { return "w-angles"; }
-  [[nodiscard]] std::size_t num_switches() const override {
-    return angles_.size();
-  }
-  [[nodiscard]] std::size_t num_paths() const override { return 2; }
-  void choose(std::vector<std::size_t>& out, util::Rng& rng) override;
-
-  /// Exact P(switch i and switch j output the same bit).
-  [[nodiscard]] double pair_collision_probability(std::size_t i,
-                                                  std::size_t j) const;
-  [[nodiscard]] double mean_pair_collision() const;
-
-  /// The W state (|10...0> + |01...0> + ... + |0...01>)/sqrt(n).
-  [[nodiscard]] static qcore::StateVec w_state(std::size_t n);
-
- private:
-  std::vector<double> angles_;
-};
-
-/// Grid search over W-state measurement angles (analogue of the GHZ one).
-[[nodiscard]] double grid_search_w_min_collision(std::size_t n,
-                                                 std::size_t grid_points);
+/// The W state (|10...0> + |01...0> + ... + |0...01>)/sqrt(n).
+[[nodiscard]] qcore::StateVec w_state(std::size_t n);
 
 /// Switches are pre-paired; each pair shares a singlet measured in the same
 /// basis, producing perfectly anti-correlated path bits (M = 2). Across
@@ -147,11 +128,5 @@ class PairedSinglets final : public EcmpStrategy {
  private:
   std::size_t n_;
 };
-
-/// Exhaustive grid search over GHZ measurement angles minimising the mean
-/// pair collision probability; returns the best value found (the bench
-/// compares it against the classical optimum).
-[[nodiscard]] double grid_search_ghz_min_collision(std::size_t n,
-                                                   std::size_t grid_points);
 
 }  // namespace ftl::ecmp

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "ecmp/no_signaling.hpp"
 #include "ecmp/strategies.hpp"
 #include "qcore/gates.hpp"
+#include "qcore/generators.hpp"
+#include "util/proptest.hpp"
 #include "util/rng.hpp"
 
 namespace ftl::ecmp {
@@ -65,11 +71,20 @@ TEST(SharedPartitionSim, PerfectWhenAllFit) {
   EXPECT_DOUBLE_EQ(r.path_spread, 1.0);
 }
 
-TEST(GhzAngles, PairCollisionMatchesClassicalMixtureFormula) {
+/// `state` measured by switch k in the real basis at angles[k].
+LocalMeasurements at_angles(const std::string& name,
+                            const qcore::StateVec& state,
+                            const std::vector<double>& angles) {
+  std::vector<qcore::CMat> bases;
+  for (double a : angles) bases.push_back(qcore::gates::real_basis(a));
+  return LocalMeasurements(name, state, bases);
+}
+
+TEST(GhzMeasurements, PairCollisionMatchesClassicalMixtureFormula) {
   // GHZ(n>=3) reduced pairs are (|00><00| + |11><11|)/2, so
   // P(same) = c_i c_j + (1-c_i)(1-c_j) with c = cos^2(theta).
   const std::vector<double> angles{0.3, 1.1, 0.7};
-  GhzAngles strat(angles);
+  const auto strat = at_angles("ghz", qcore::StateVec::ghz(3), angles);
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t j = i + 1; j < 3; ++j) {
       const double ci = std::cos(angles[i]) * std::cos(angles[i]);
@@ -80,8 +95,9 @@ TEST(GhzAngles, PairCollisionMatchesClassicalMixtureFormula) {
   }
 }
 
-TEST(GhzAngles, SampledCollisionsMatchExact) {
-  GhzAngles strat({0.0, M_PI / 2.0, M_PI / 4.0});
+TEST(GhzMeasurements, SampledCollisionsMatchExact) {
+  auto strat = at_angles("ghz", qcore::StateVec::ghz(3),
+                         {0.0, M_PI / 2.0, M_PI / 4.0});
   EcmpConfig cfg;
   cfg.active = 2;
   cfg.rounds = 40000;
@@ -89,25 +105,30 @@ TEST(GhzAngles, SampledCollisionsMatchExact) {
   EXPECT_NEAR(r.mean_collisions, strat.mean_pair_collision(), 0.01);
 }
 
-TEST(GhzAngles, BestHandPickedMatchesPartitionBound) {
+TEST(GhzMeasurements, BestHandPickedMatchesPartitionBound) {
   // Angles {0, pi/2, pi/4}: deterministic anti-correlated pair plus a
   // hedger: mean collision (0 + 1/2 + 1/2)/3 = 1/3 — exactly classical.
-  GhzAngles strat({0.0, M_PI / 2.0, M_PI / 4.0});
+  const auto strat = at_angles("ghz", qcore::StateVec::ghz(3),
+                               {0.0, M_PI / 2.0, M_PI / 4.0});
   EXPECT_NEAR(strat.mean_pair_collision(), 1.0 / 3.0, 1e-9);
 }
 
-TEST(GhzGridSearch, NeverBeatsClassicalPartition) {
-  // The paper's conjecture, probed exhaustively on an angle grid: for 3 and
-  // 4 switches over 2 paths, no GHZ measurement beats the classical 1/3.
-  for (std::size_t n : {3u, 4u}) {
-    const double best = grid_search_ghz_min_collision(n, 12);
-    const double classical = SharedPartition::pair_collision_probability(n, 2);
-    EXPECT_GE(best, classical - 1e-6) << "n=" << n;
+TEST(GhzMeasurements, AlternatingAnglesAttainTheBound) {
+  // Angle 0 reads GHZ's shared bit and pi/2 its complement, so alternating
+  // switches form the balanced partition and the shared bit picks which
+  // half takes path 0.
+  for (std::size_t n = 3; n <= 8; ++n) {
+    std::vector<double> angles(n, 0.0);
+    for (std::size_t k = 1; k < n; k += 2) angles[k] = M_PI / 2.0;
+    const auto strat = at_angles("ghz", qcore::StateVec::ghz(n), angles);
+    EXPECT_NEAR(strat.mean_pair_collision(),
+                SharedPartition::pair_collision_probability(n, 2), 1e-12)
+        << "n=" << n;
   }
 }
 
-TEST(WAngles, WStateIsCorrectlyBuilt) {
-  const auto w = ecmp::WAngles::w_state(3);
+TEST(WMeasurements, WStateIsCorrectlyBuilt) {
+  const auto w = w_state(3);
   EXPECT_NEAR(std::abs(w.amplitude(0b100)), 1.0 / std::sqrt(3.0), 1e-12);
   EXPECT_NEAR(std::abs(w.amplitude(0b010)), 1.0 / std::sqrt(3.0), 1e-12);
   EXPECT_NEAR(std::abs(w.amplitude(0b001)), 1.0 / std::sqrt(3.0), 1e-12);
@@ -115,28 +136,99 @@ TEST(WAngles, WStateIsCorrectlyBuilt) {
   EXPECT_NEAR(w.norm(), 1.0, 1e-12);
 }
 
-TEST(WAngles, ComputationalBasisAntiCorrelates) {
+TEST(WMeasurements, ComputationalBasisAntiCorrelates) {
   // Measuring W(3) in the computational basis: exactly one switch outputs
   // 1, so a random active pair collides iff both read 0: P = 1/3.
-  ecmp::WAngles strat({0.0, 0.0, 0.0});
+  const auto strat = at_angles("w", w_state(3), {0.0, 0.0, 0.0});
   EXPECT_NEAR(strat.mean_pair_collision(), 1.0 / 3.0, 1e-9);
 }
 
-TEST(WAngles, SampledMatchesExact) {
-  ecmp::WAngles strat({0.4, 1.0, 2.0});
-  ecmp::EcmpConfig cfg;
+TEST(WMeasurements, SampledMatchesExact) {
+  auto strat = at_angles("w", w_state(3), {0.4, 1.0, 2.0});
+  EcmpConfig cfg;
   cfg.active = 2;
   cfg.rounds = 40000;
-  const ecmp::EcmpResult r = run_ecmp_sim(cfg, strat);
+  const EcmpResult r = run_ecmp_sim(cfg, strat);
   EXPECT_NEAR(r.mean_collisions, strat.mean_pair_collision(), 0.01);
 }
 
-TEST(WAngles, GridSearchCannotBeatClassicalEither) {
-  // W-state reduced pairs are *entangled* (unlike GHZ), yet the best W
-  // strategy still only matches the classical partition at n = 3 and is
-  // strictly worse at n = 4 — monogamy dilutes pairwise correlations.
-  EXPECT_GE(ecmp::grid_search_w_min_collision(3, 12), 1.0 / 3.0 - 1e-6);
-  EXPECT_GE(ecmp::grid_search_w_min_collision(4, 12), 1.0 / 3.0 + 0.05);
+// ---- input-free switches (THEORY §8) ---------------------------------------
+
+TEST(InputFree, NoStateOrBasisBeatsThePartition) {
+  // Haar-random states on 2..8 qubits, each switch measuring in its own
+  // Haar-random basis. For N <= 5 every pair collision is checked against
+  // the density-matrix oracle joint_ab; for every N the mean collision
+  // must not fall below the balanced partition.
+  struct Case {
+    qcore::StateVec state;
+    std::vector<qcore::CMat> bases;
+  };
+  proptest::Options opts;
+  opts.name = "InputFree.NoStateOrBasisBeatsThePartition";
+  opts.cases = 240;
+  const auto r = proptest::for_all(
+      opts,
+      [](util::Rng& rng) {
+        const std::size_t n = 2 + rng.uniform_int(7);
+        Case c{qcore::random_state(n, rng), {}};
+        for (std::size_t k = 0; k < n; ++k) {
+          c.bases.push_back(qcore::random_unitary(2, rng));
+        }
+        return c;
+      },
+      [](const Case& c) {
+        const std::size_t n = c.state.num_qubits();
+        const LocalMeasurements strat("random", c.state, c.bases);
+        if (n <= 5) {
+          const auto rho = qcore::Density::from_state(c.state);
+          for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = i + 1; j < n; ++j) {
+              const auto oracle = joint_ab(rho, i, c.bases[i], j, c.bases[j]);
+              const double want = oracle[0][0] + oracle[1][1];
+              const double got = strat.pair_collision_probability(i, j);
+              if (std::abs(got - want) > 1e-12) {
+                std::ostringstream note;
+                note << "n=" << n << " pair (" << i << "," << j
+                     << "): joint " << got << " vs joint_ab " << want;
+                return proptest::CaseResult::fail(note.str());
+              }
+            }
+          }
+        }
+        const double bound = SharedPartition::pair_collision_probability(n, 2);
+        if (strat.mean_pair_collision() < bound - 1e-12) {
+          std::ostringstream note;
+          note << "n=" << n << ": mean " << strat.mean_pair_collision()
+               << " below the partition's " << bound;
+          return proptest::CaseResult::fail(note.str());
+        }
+        return proptest::CaseResult::pass();
+      });
+  ASSERT_TRUE(r.ok) << r.message;
+}
+
+TEST(InputFree, DeterministicOptimumIsTheBalancedPartition) {
+  // The minimum over all M^N deterministic path assignments of the number
+  // of colliding ordered pairs, against the partition's closed form.
+  for (std::size_t n = 2; n <= 8; ++n) {
+    for (std::size_t m = 2; m <= 4; ++m) {
+      std::vector<std::size_t> a(n, 0);
+      std::size_t best = n * (n - 1);
+      for (;;) {
+        std::size_t same = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < n; ++j) same += i != j && a[i] == a[j];
+        }
+        best = std::min(best, same);
+        std::size_t k = 0;
+        while (k < n && ++a[k] == m) a[k++] = 0;
+        if (k == n) break;
+      }
+      EXPECT_EQ(static_cast<double>(best) / static_cast<double>(n * (n - 1)),
+                SharedPartition::pair_collision_probability(n, m))
+          << "n=" << n << " m=" << m;
+    }
+  }
 }
 
 TEST(PairedSinglets, PerfectAntiCorrelationWithinPair) {
