@@ -16,6 +16,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "correlate/decision_source.hpp"
 #include "util/args.hpp"
@@ -26,11 +27,21 @@ namespace {
 
 using namespace ftl;
 
+// A rate is empty when its pair class never occurred (a short run), and the
+// throughput is empty unless both rates exist.
 struct Outcome {
-  double cache_hit_rate;    // hot-texture kernel pairs that shared an SM
-  double contention_rate;   // unrelated kernel pairs that collided on an SM
-  double effective_speedup; // toy throughput model combining the two
+  // Hot-texture kernel pairs that shared an SM.
+  std::optional<double> cache_hit_rate;
+  // Unrelated kernel pairs that collided on an SM.
+  std::optional<double> contention_rate;
+  // Toy throughput model combining the two.
+  std::optional<double> effective_speedup;
 };
+
+std::optional<double> rate(int hits, int pairs) {
+  if (pairs == 0) return std::nullopt;
+  return static_cast<double>(hits) / pairs;
+}
 
 Outcome run(correlate::PairedDecisionSource& source, std::size_t num_sms,
             int rounds, util::Rng& rng) {
@@ -58,12 +69,14 @@ Outcome run(correlate::PairedDecisionSource& source, std::size_t num_sms,
     }
   }
   Outcome o{};
-  o.cache_hit_rate = static_cast<double>(hot_colocated) / hot_pairs;
-  o.contention_rate = static_cast<double>(cold_collided) / cold_pairs;
-  // Toy model: a cache hit doubles the pair's throughput; a collision of
-  // unrelated kernels halves it.
-  o.effective_speedup = 1.0 + 0.25 * (2.0 * o.cache_hit_rate - 1.0) -
-                        0.75 * (o.contention_rate - 0.0) * 0.5;
+  o.cache_hit_rate = rate(hot_colocated, hot_pairs);
+  o.contention_rate = rate(cold_collided, cold_pairs);
+  if (o.cache_hit_rate && o.contention_rate) {
+    // Toy model: a cache hit doubles the pair's throughput; a collision of
+    // unrelated kernels halves it.
+    o.effective_speedup = 1.0 + 0.25 * (2.0 * *o.cache_hit_rate - 1.0) -
+                          0.75 * (*o.contention_rate - 0.0) * 0.5;
+  }
   return o;
 }
 
@@ -86,11 +99,15 @@ int main(int argc, char** argv) {
   util::Rng rng(99);
   util::Table t({"dispatcher coordination", "texture cache-hit rate",
                  "contention rate", "relative throughput"});
+  const auto cell = [](std::optional<double> v) -> util::Cell {
+    if (v) return *v;
+    return std::string("n/a");
+  };
   const auto row = [&](const char* kind) {
     auto src = correlate::make_source(kind);
     const Outcome o = run(*src, num_sms, rounds, rng);
-    t.add_row({src->name(), o.cache_hit_rate, o.contention_rate,
-               o.effective_speedup});
+    t.add_row({src->name(), cell(o.cache_hit_rate), cell(o.contention_rate),
+               cell(o.effective_speedup)});
   };
   row("independent");
   row("classical-chsh");

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   const double request_rate = *rate_arg;
   const double fiber_km = *km_arg;
 
-  std::printf("provisioning for %.0f requests/s over %.2f km fiber\n\n",
+  std::printf("provisioning for %g requests/s over %.2f km fiber\n\n",
               request_rate, fiber_km);
 
   std::puts("step 1: how long can a pair sit in QNIC memory and still win?");
@@ -57,6 +57,12 @@ int main(int argc, char** argv) {
     cfg.fiber_km = fiber_km;
     const auto report =
         core::Coordinator::provision(cfg, 0.98, request_rate, 0.5, 1);
+    if (std::isnan(report.effective_win_probability)) {
+      // No request arrived in the window, so there is nothing to rate.
+      const std::string na = "n/a";
+      t.add_row({rate, na, na, na, std::string("no request in window")});
+      continue;
+    }
     const bool ok = report.quantum_worthwhile();
     if (ok && needed_rate < 0.0) needed_rate = rate;
     t.add_row({rate, report.pair_hit_fraction, report.mean_pair_age_s * 1e6,

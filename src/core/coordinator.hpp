@@ -36,10 +36,12 @@ struct ProvisioningReport {
   /// Mean storage age of consumed pairs, seconds.
   double mean_pair_age_s = 0.0;
   /// End-to-end expected win probability of the flipped CHSH condition
-  /// (quantum rounds at their decohered quality, misses at classical 3/4).
+  /// (quantum rounds at their decohered quality, misses at classical 3/4);
+  /// NaN when no request arrived in the simulated window.
   double effective_win_probability = 0.0;
   /// The classical baseline it must beat.
   double classical_win_probability = 0.75;
+  /// False when effective_win_probability is NaN.
   [[nodiscard]] bool quantum_worthwhile() const {
     return effective_win_probability > classical_win_probability + 1e-9;
   }

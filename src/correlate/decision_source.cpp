@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "qnet/decoherence.hpp"
 #include "util/assert.hpp"
 
 namespace ftl::correlate {
@@ -35,13 +36,19 @@ double ClassicalChshSource::win_probability(int x, int y) const {
   return flipped_target(x, y) == 1 ? 1.0 : 0.0;
 }
 
-ChshSource::ChshSource(double visibility)
-    : visibility_(visibility),
-      strategy_(games::chsh_quantum_strategy(games::chsh_optimal_angles(),
-                                             /*flip_bob_output=*/true,
-                                             visibility)) {
+ChshSource::ChshSource(double visibility) : visibility_(visibility) {
   FTL_ASSERT(visibility >= 0.0 && visibility <= 1.0);
-  table_ = OutcomeTable::from_strategy(strategy_);
+  // A fresh pair: both halves at age 0, so the memory's T1/T2 never act.
+  const qnet::StoredPair pair(visibility, 0.0, 0.0, 1.0, 1.0);
+  double joint[2][2][2][2];
+  for (int x = 0; x < 2; ++x) {
+    for (int y = 0; y < 2; ++y) {
+      for (int a = 0; a < 2; ++a) {
+        for (int b = 0; b < 2; ++b) joint[x][y][a][b] = pair.joint(x, y, a, b);
+      }
+    }
+  }
+  table_ = OutcomeTable::from_joint(joint);
 }
 
 std::pair<int, int> ChshSource::decide(int x, int y, util::Rng& rng) {

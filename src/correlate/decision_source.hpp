@@ -17,7 +17,6 @@
 #include <utility>
 
 #include "correlate/batched.hpp"
-#include "games/chsh.hpp"
 #include "util/rng.hpp"
 
 namespace ftl::correlate {
@@ -70,7 +69,9 @@ class ClassicalChshSource final : public PairedDecisionSource {
 /// Simulated entangled pair playing the flipped CHSH game with the
 /// Tsirelson-optimal measurement angles; `visibility` < 1 models an
 /// imperfect (Werner) pair after SPDC generation, fiber transport, and QNIC
-/// storage. Win probability (1/2)(1 + v/sqrt(2)) per input pair.
+/// storage. Its joint is a fresh qnet::StoredPair's, the model every
+/// stored-pair caller uses. Win probability (1/2)(1 + v/sqrt(2)) per input
+/// pair.
 class ChshSource final : public PairedDecisionSource {
  public:
   explicit ChshSource(double visibility = 1.0);
@@ -81,22 +82,15 @@ class ChshSource final : public PairedDecisionSource {
   [[nodiscard]] double win_probability(int x, int y) const override;
   [[nodiscard]] double visibility() const { return visibility_; }
 
-  /// The underlying strategy (exposed for verification in tests).
-  [[nodiscard]] const games::QuantumStrategy& strategy() const {
-    return strategy_;
-  }
-
   /// The precomputed outcome table decide() samples from (exposed so the
   /// sharded engine and tests can batch-draw from the identical table).
   [[nodiscard]] const OutcomeTable& table() const { return table_; }
 
  private:
   double visibility_;
-  games::QuantumStrategy strategy_;
   /// Born-rule joint distribution P(a,b | x,y) in cumulative form, cached
-  /// at construction so the hot simulation path does not redo
-  /// density-matrix algebra. Sampling from this table is
-  /// distribution-identical to measuring the state.
+  /// at construction. Sampling from this table is distribution-identical
+  /// to measuring the state.
   OutcomeTable table_;
 };
 

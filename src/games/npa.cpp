@@ -128,8 +128,6 @@ NpaResult npa1_upper_bound(const TwoPartyGame& game, const NpaOptions& opts) {
   obs::registry().counter("games.npa.calls").inc();
   obs::Counter& m_outer = obs::registry().counter("games.npa.outer_iterations");
   obs::Counter& m_newton = obs::registry().counter("games.npa.newton_steps");
-  obs::Histogram& m_step_norm = obs::registry().histogram(
-      "games.npa.newton_step_norm", 0.0, 10.0, 50);
 
   std::array<double, kParams> theta{};  // Gamma = I: strictly feasible
   NpaResult out;
@@ -179,7 +177,6 @@ NpaResult npa1_upper_bound(const TwoPartyGame& game, const NpaOptions& opts) {
       // Backtracking line search: stay strictly PD and increase f.
       double norm2 = 0.0;
       for (double s : step) norm2 += s * s;
-      m_step_norm.observe(std::sqrt(norm2));
       if (std::sqrt(norm2) < opts.newton_tol) break;
       double t = 1.0;
       bool moved = false;

@@ -17,27 +17,24 @@ struct ReducedVectors {
   std::size_t rank = 0;
 };
 
+double dot(const std::vector<double>& a, const std::vector<double>& b) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
+  return sum;
+}
+
 ReducedVectors reduce(const sdp::XorBiasResult& vectors) {
   std::vector<std::vector<double>> basis;
-  auto project_coords = [&](const std::vector<double>& v) {
-    std::vector<double> coords(basis.size(), 0.0);
-    for (std::size_t b = 0; b < basis.size(); ++b) {
-      double dot = 0.0;
-      for (std::size_t i = 0; i < v.size(); ++i) dot += basis[b][i] * v[i];
-      coords[b] = dot;
-    }
-    return coords;
-  };
   auto add_to_basis = [&](const std::vector<double>& v) {
     std::vector<double> res = v;
     for (const auto& b : basis) {
-      double dot = 0.0;
-      for (std::size_t i = 0; i < v.size(); ++i) dot += b[i] * v[i];
-      for (std::size_t i = 0; i < v.size(); ++i) res[i] -= dot * b[i];
+      const double overlap = dot(b, v);
+      for (std::size_t i = 0; i < res.size(); ++i) res[i] -= overlap * b[i];
     }
-    double norm2 = 0.0;
-    for (double x : res) norm2 += x * x;
-    if (norm2 > 1e-16) {
+    // A residual this small next to v is rounding noise: normalised, it
+    // would point anywhere, overlaps included.
+    const double norm2 = dot(res, res);
+    if (norm2 > 1e-10 * dot(v, v)) {
       const double inv = 1.0 / std::sqrt(norm2);
       for (double& x : res) x *= inv;
       basis.push_back(std::move(res));
@@ -46,18 +43,22 @@ ReducedVectors reduce(const sdp::XorBiasResult& vectors) {
   for (const auto& v : vectors.alice) add_to_basis(v);
   for (const auto& v : vectors.bob) add_to_basis(v);
 
+  // Coordinates in the basis, rescaled to unit norm: the dropped noise
+  // shortens them slightly, and an observable sum_m c_m gamma_m squares to
+  // |c|^2 I. A zero vector stays zero.
+  auto coords = [&](const std::vector<double>& v) {
+    std::vector<double> c(basis.size());
+    for (std::size_t b = 0; b < basis.size(); ++b) c[b] = dot(basis[b], v);
+    const double norm = std::sqrt(dot(c, c));
+    if (norm > 0.0) {
+      for (double& x : c) x /= norm;
+    }
+    return c;
+  };
   ReducedVectors out;
   out.rank = basis.size();
-  for (const auto& v : vectors.alice) {
-    auto c = project_coords(v);
-    c.resize(out.rank, 0.0);
-    out.alice.push_back(std::move(c));
-  }
-  for (const auto& v : vectors.bob) {
-    auto c = project_coords(v);
-    c.resize(out.rank, 0.0);
-    out.bob.push_back(std::move(c));
-  }
+  for (const auto& v : vectors.alice) out.alice.push_back(coords(v));
+  for (const auto& v : vectors.bob) out.bob.push_back(coords(v));
   return out;
 }
 

@@ -115,11 +115,6 @@ SeesawResult seesaw_optimize(const TwoPartyGame& game,
   obs::registry().counter("games.seesaw.calls").inc();
   obs::Counter& m_restarts = obs::registry().counter("games.seesaw.restarts");
   obs::Counter& m_rounds = obs::registry().counter("games.seesaw.rounds");
-  // Per-round improvement when the loop settles — how tight convergence is.
-  obs::Histogram& m_residual = obs::registry().histogram(
-      "games.seesaw.final_residual", 0.0, 1e-9, 50);
-  obs::Histogram& m_restart_us = obs::registry().histogram(
-      "games.seesaw.restart_us", 0.0, 100000.0, 50);
 
   double best_value = -1.0;
   CMat best_rho;
@@ -135,7 +130,6 @@ SeesawResult seesaw_optimize(const TwoPartyGame& game,
 
   for (int restart = 0; restart < opts.restarts; ++restart) {
     m_restarts.inc();
-    const obs::ScopedHistogramTimer restart_timer(m_restart_us);
     CMat rho;
     std::vector<Effects> alice(nx);
     std::vector<Effects> bob(ny);
@@ -248,7 +242,6 @@ SeesawResult seesaw_optimize(const TwoPartyGame& game,
       m_rounds.inc();
       const double cur = projector_value(game, rho, alice, bob);
       if (cur - prev < opts.tol) {
-        m_residual.observe(cur - prev);
         prev = cur;
         converged = true;
         break;

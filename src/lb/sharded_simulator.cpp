@@ -209,16 +209,6 @@ void export_lb_metrics(const LbStrategy& strategy, const Tally& t,
   for (std::size_t q = 0; q < t.queue_lengths.size(); ++q) {
     depth.observe(static_cast<double>(q), t.queue_lengths[q]);
   }
-  // Counts grow only to fit a tallied value, so the last one is the
-  // deepest queue seen (every measured step tallies every server).
-  reg.gauge("lb.queue_depth.high_water", label)
-      .update_max(static_cast<double>(t.queue_lengths.size() - 1));
-  obs::Histogram& delay =
-      reg.histogram("lb.delay_steps", 0.0, 512.0, 64, label);
-  const Counts all = t.all_delays();
-  for (std::size_t d = 0; d < all.size(); ++d) {
-    delay.observe(static_cast<double>(d), all[d]);
-  }
   if (const correlate::PairedDecisionSource* src = strategy.source()) {
     const obs::Labels source_label{{"source", src->name()}};
     reg.counter("lb.chsh.rounds_won", source_label)
@@ -255,9 +245,9 @@ ShardedLbResult run_sharded_lb_sim(const ShardedLbConfig& cfg,
 
   const obs::ScopedSpan span("lb.run_sharded_lb_sim", "lb");
 
-  // Per-shard strategies, created up front in shard order (the
-  // density-matrix work in ChshSource happens once per shard, not per
-  // round — the rounds sample its precomputed outcome table).
+  // Per-shard strategies, created up front in shard order (ChshSource
+  // builds its outcome table once per shard, not per round — the rounds
+  // sample that precomputed table).
   std::vector<std::unique_ptr<LbStrategy>> strategies(cfg.num_shards);
   for (auto& s : strategies) s = make_strategy(cfg.source, cfg.visibility);
 
@@ -301,8 +291,6 @@ ShardedLbResult run_sharded_lb_sim(const ShardedLbConfig& cfg,
       .inc(static_cast<std::uint64_t>(out.counters.rounds_won));
   reg.counter("lb.sharded.rounds_lost", label)
       .inc(static_cast<std::uint64_t>(out.counters.rounds_lost));
-  reg.gauge("lb.sharded.shards", label)
-      .set(static_cast<double>(cfg.num_shards));
   return out;
 }
 

@@ -161,10 +161,6 @@ LbResult run_typed_lb_sim(const TypedLbConfig& cfg,
       obs::registry().counter("lb.typed.requests.arrived", strat_label);
   obs::Counter& m_served =
       obs::registry().counter("lb.typed.requests.served", strat_label);
-  obs::Histogram& m_queue_depth = obs::registry().histogram(
-      "lb.typed.queue_depth", 0.0, 256.0, 64, strat_label);
-  obs::Gauge& m_queue_hw =
-      obs::registry().gauge("lb.typed.queue_depth.high_water", strat_label);
 
   util::Rng rng(cfg.seed);
   util::Rng arrivals_rng = rng.split(1);
@@ -231,10 +227,7 @@ LbResult run_typed_lb_sim(const TypedLbConfig& cfg,
         }
       }
       if (measuring) {
-        const auto depth = static_cast<double>(server.queue_length());
-        queue_len_acc.add(depth);
-        m_queue_depth.observe(depth);
-        m_queue_hw.update_max(depth);
+        queue_len_acc.add(static_cast<double>(server.queue_length()));
       }
     }
   }

@@ -1,4 +1,4 @@
-// Scoped timers and span tracing in Chrome trace_event JSON.
+// Span tracing in Chrome trace_event JSON.
 //
 // The emitted file loads directly in chrome://tracing or
 // https://ui.perfetto.dev (File > Open). Collection is off until
@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
+#include "obs/metrics.hpp"  // FTL_OBS_ENABLED
 
 namespace ftl::obs {
 
@@ -121,25 +121,6 @@ class ScopedSpan {
   double start_us_ = 0.0;
 };
 
-/// Scoped timer feeding a duration histogram (microseconds) — the metrics
-/// side of span timing, always on while obs is enabled (independent of the
-/// tracer being started).
-class ScopedHistogramTimer {
- public:
-  explicit ScopedHistogramTimer(Histogram& h)
-      : h_(&h), t0_(std::chrono::steady_clock::now()) {}
-  ~ScopedHistogramTimer() {
-    const auto dt = std::chrono::steady_clock::now() - t0_;
-    h_->observe(std::chrono::duration<double, std::micro>(dt).count());
-  }
-  ScopedHistogramTimer(const ScopedHistogramTimer&) = delete;
-  ScopedHistogramTimer& operator=(const ScopedHistogramTimer&) = delete;
-
- private:
-  Histogram* h_;
-  std::chrono::steady_clock::time_point t0_;
-};
-
 }  // namespace real
 
 namespace noop {
@@ -178,23 +159,15 @@ struct ScopedSpan {
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 };
 
-struct ScopedHistogramTimer {
-  explicit ScopedHistogramTimer(Histogram&) noexcept {}
-  ScopedHistogramTimer(const ScopedHistogramTimer&) = delete;
-  ScopedHistogramTimer& operator=(const ScopedHistogramTimer&) = delete;
-};
-
 }  // namespace noop
 
 #if FTL_OBS_ENABLED
 using Tracer = real::Tracer;
 using ScopedSpan = real::ScopedSpan;
-using ScopedHistogramTimer = real::ScopedHistogramTimer;
 inline Tracer& tracer() noexcept { return real::tracer(); }
 #else
 using Tracer = noop::Tracer;
 using ScopedSpan = noop::ScopedSpan;
-using ScopedHistogramTimer = noop::ScopedHistogramTimer;
 inline Tracer& tracer() noexcept { return noop::tracer(); }
 #endif
 

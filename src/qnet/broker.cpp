@@ -1,6 +1,5 @@
 #include "qnet/broker.hpp"
 
-#include <algorithm>
 #include <optional>
 
 #include "obs/metrics.hpp"
@@ -15,14 +14,6 @@ BrokerStats simulate_pair_supply(const QnetConfig& cfg, double request_rate_hz,
                                  double duration_s, util::Rng& rng) {
   FTL_ASSERT(cfg.pair_rate_hz > 0.0 && request_rate_hz > 0.0);
   const obs::ScopedSpan span("qnet.simulate_pair_supply", "qnet");
-  // Residual correlation quality of consumed pairs: flipped-CHSH win
-  // probability after storage decay (classical fallback is 0.75).
-  obs::Histogram& m_chsh_win =
-      obs::registry().histogram("qnet.consumed.chsh_win", 0.5, 1.0, 50);
-  obs::Histogram& m_occupancy = obs::registry().histogram(
-      "qnet.memory.occupancy", 0.0,
-      static_cast<double>(cfg.memory_slots) + 1.0,
-      std::min<std::size_t>(cfg.memory_slots + 1, 64));
   const double max_storage_s = storage_limit_s(cfg, cfg.source_visibility);
   FTL_ASSERT_MSG(max_storage_s > 0.0,
                  "source visibility too low for any quantum advantage");
@@ -39,13 +30,10 @@ BrokerStats simulate_pair_supply(const QnetConfig& cfg, double request_rate_hz,
        now += rng.exponential(request_rate_hz)) {
     pool.produce_until(now, rng);
     ++stats.requests;
-    m_occupancy.observe(static_cast<double>(pool.size()));
     if (const std::optional<double> age = pool.take_freshest(now)) {
       ++stats.pair_hits;
       consumed_age_sum += *age;
-      const double win = win_curve.at(*age);
-      win_sum += win;
-      m_chsh_win.observe(win);
+      win_sum += win_curve.at(*age);
     } else {
       win_sum += 0.75;  // classical fallback strategy
     }
@@ -77,8 +65,6 @@ BrokerStats simulate_pair_supply(const QnetConfig& cfg, double request_rate_hz,
   reg.counter("qnet.pairs.delivered").inc(t.delivered);
   reg.counter("qnet.pairs.expired").inc(t.expired);
   reg.counter("qnet.pairs.dropped_full").inc(t.dropped_full);
-  reg.gauge("qnet.memory.occupancy.high_water")
-      .update_max(static_cast<double>(t.high_water));
   return stats;
 }
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 
 #include "qnet/config.hpp"
 #include "qnet/pair_pool.hpp"
@@ -35,8 +36,9 @@ struct BrokerStats {
   double mean_consumed_age_s = 0.0;
   /// Mean flipped-CHSH win probability over requests: consumed pairs
   /// contribute their post-storage value, misses fall back to the classical
-  /// 0.75. This is the end-to-end "effective correlation quality".
-  double mean_chsh_win = 0.0;
+  /// 0.75. This is the end-to-end "effective correlation quality". NaN when
+  /// no request arrived: an empty window has no win probability.
+  double mean_chsh_win = std::numeric_limits<double>::quiet_NaN();
 
   [[nodiscard]] double hit_fraction() const {
     return requests == 0 ? 0.0

@@ -44,9 +44,6 @@ DistillResult bbpssw_round(const qcore::Density& pair1,
   out.success_probability = p_success;
   out.state = qcore::Density::from_matrix(std::move(kept));
   out.fidelity = out.state.fidelity_with(qcore::StateVec::bell_phi_plus());
-  obs::registry()
-      .histogram("qnet.distill.fidelity", 0.0, 1.0, 50)
-      .observe(out.fidelity);
   return out;
 }
 

@@ -1,6 +1,5 @@
 #include "qnet/live_broker.hpp"
 
-#include <algorithm>
 #include <optional>
 
 #include "util/assert.hpp"
@@ -24,27 +23,16 @@ LiveBroker::LiveBroker(const LiveBrokerConfig& cfg, std::uint64_t seed)
       m_expired_(obs::registry().counter("qnet.live.pairs.expired")),
       m_dropped_full_(obs::registry().counter("qnet.live.pairs.dropped_full")),
       m_consumed_age_(obs::registry().histogram("qnet.live.consumed.age_s",
-                                                0.0, max_storage_s_, 50)),
-      m_chsh_win_(obs::registry().histogram("qnet.live.chsh_win", 0.5, 1.0,
-                                            50)),
-      m_occupancy_hw_(
-          obs::registry().gauge("qnet.live.pool.occupancy.high_water")) {
+                                                0.0, max_storage_s_, 50)) {
   FTL_ASSERT_MSG(cfg.sources > 0, "LiveBroker needs at least one source");
   FTL_ASSERT_MSG(cfg.qnet.pair_rate_hz > 0.0, "pair rate must be positive");
   FTL_ASSERT_MSG(max_storage_s_ > 0.0,
                  "source visibility too low for any quantum advantage");
   util::Rng master(seed);
-  const std::size_t slots = cfg.qnet.memory_slots;
   sources_.reserve(cfg.sources);
   for (std::size_t i = 0; i < cfg.sources; ++i) {
-    auto s = std::make_unique<Source>(cfg_.qnet, max_storage_s_,
-                                      master.split(i));
-    s->occupancy = &obs::registry().histogram(
-        "qnet.live.pool_occupancy", 0.0,
-        static_cast<double>(std::max<std::size_t>(slots, 1)),
-        std::clamp<std::size_t>(slots, 1, 64),
-        obs::Labels{{"source", std::to_string(i)}});
-    sources_.push_back(std::move(s));
+    sources_.push_back(
+        std::make_unique<Source>(cfg_.qnet, max_storage_s_, master.split(i)));
   }
 }
 
@@ -77,12 +65,6 @@ void LiveBroker::produce_locked(Source& s, double now_s) {
     flush(m_delivered_, after.delivered, before.delivered);
     flush(m_lost_fiber_, after.lost_fiber, before.lost_fiber);
     flush(m_dropped_full_, after.dropped_full, before.dropped_full);
-    if (after.delivered != before.delivered) {
-      s.occupancy->observe(static_cast<double>(s.pool.size()));
-    }
-    if (after.high_water != before.high_water) {
-      m_occupancy_hw_.update_max(static_cast<double>(after.high_water));
-    }
   }
   flush(m_expired_, after.expired, before.expired);
 }
@@ -111,7 +93,6 @@ LiveBroker::Decision LiveBroker::decide(std::size_t source, std::uint8_t input,
     s.consumed_age_sum_s += *age;
     m_hits_.inc();
     m_consumed_age_.observe(*age);
-    s.occupancy->observe(static_cast<double>(s.pool.size()));
   } else {
     // Classical fallback: the pre-agreed deterministic strategy (output
     // your input) wins the flipped-CHSH game with probability 3/4.
@@ -127,7 +108,6 @@ LiveBroker::Decision LiveBroker::decide(std::size_t source, std::uint8_t input,
     m_rounds_won_.inc();
   }
   s.win_sum += d.win_probability;
-  m_chsh_win_.observe(d.win_probability);
   return d;
 }
 

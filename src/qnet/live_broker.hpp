@@ -9,12 +9,8 @@
 // fallback rate live.
 //
 // Metric semantics: `qnet.live.pairs.*` receive the pool's tally deltas
-// (only the non-zero ones) after each produce; the
-// `qnet.live.pool.occupancy.high_water` gauge is exact through the pool's
-// high-water tally; the per-source `qnet.live.pool_occupancy{source}`
-// histogram gets one observation per produce call that delivered pairs and
-// one per consumption, so it samples the occupancy decisions see rather
-// than every arrival.
+// (only the non-zero ones) after each produce, and
+// `qnet.live.consumed.age_s` gets one observation per hit.
 //
 // Two clocks, one code path:
 //  * live mode — start_producer() runs a refill thread against the broker's
@@ -177,9 +173,6 @@ class LiveBroker {
     std::uint64_t requests = 0, hits = 0, fallbacks = 0, rounds_won = 0;
     double consumed_age_sum_s = 0.0;
     double win_sum = 0.0;
-    /// `qnet.live.pool_occupancy` labeled source=<i>: the distribution,
-    /// where the high-water gauge only keeps the max.
-    obs::Histogram* occupancy = nullptr;
   };
 
   /// produce_until with s.mu already held; decide() calls this so the pool
@@ -215,8 +208,6 @@ class LiveBroker {
   obs::Counter& m_expired_;
   obs::Counter& m_dropped_full_;
   obs::Histogram& m_consumed_age_;
-  obs::Histogram& m_chsh_win_;
-  obs::Gauge& m_occupancy_hw_;
 };
 
 }  // namespace ftl::qnet

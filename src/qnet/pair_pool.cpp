@@ -49,7 +49,6 @@ void PairPool::produce_until(double now_s, util::Rng& rng) {
       }
       ring_[(head_ + count_) % cap] = arrival;
       ++count_;
-      tallies_.high_water = std::max(tallies_.high_water, count_);
     } else {
       ++tallies_.lost_fiber;
     }

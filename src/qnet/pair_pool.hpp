@@ -41,7 +41,6 @@ struct PoolTallies {
   std::uint64_t lost_fiber = 0;    ///< at least one photon absorbed
   std::uint64_t expired = 0;       ///< evicted past the storage limit
   std::uint64_t dropped_full = 0;  ///< oldest pair overwritten by an arrival
-  std::size_t high_water = 0;      ///< largest occupancy ever reached
 };
 
 /// Pair conservation at a stats boundary, for any stats struct with the

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/assert.hpp"
 
 namespace ftl::sdp {
@@ -12,9 +11,6 @@ std::vector<double> solve_linear(RMat a, std::vector<double> b) {
   const std::size_t n = a.rows();
   FTL_ASSERT(a.cols() == n && b.size() == n);
   obs::registry().counter("sdp.dense.solves").inc();
-  static obs::Histogram& solve_us = obs::registry().histogram(
-      "sdp.dense.solve_us", 0.0, 1000.0, 50);
-  const obs::ScopedHistogramTimer timer(solve_us);
   // Forward elimination with partial pivoting.
   for (std::size_t col = 0; col < n; ++col) {
     std::size_t pivot = col;

@@ -199,6 +199,15 @@ TEST(Coordinator, ProvisioningDetectsStarvation) {
   EXPECT_LT(r.effective_win_probability, 0.76);
 }
 
+TEST(Coordinator, ProvisioningWindowWithoutRequestsHasNoWin) {
+  // At 1e-3 requests/s no request lands in the 0.5 s window: the win is
+  // undefined, not the 0 that sits below the classical fallback.
+  const ProvisioningReport r =
+      Coordinator::provision(qnet::QnetConfig{}, 0.98, 1e-3, 0.5, 1);
+  EXPECT_TRUE(std::isnan(r.effective_win_probability));
+  EXPECT_FALSE(r.quantum_worthwhile());
+}
+
 TEST(Backend, ToStringNames) {
   EXPECT_STREQ(to_string(Backend::kQuantum), "quantum");
   EXPECT_STREQ(to_string(Backend::kOmniscient), "omniscient");

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "games/chsh.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -83,6 +84,9 @@ TEST(QuantumChsh, WinProbabilityNearTsirelson) {
 
 TEST(QuantumChsh, CachedJointMatchesStrategy) {
   ChshSource src(0.85);
+  // The density-matrix path of the same pair is the oracle.
+  const games::QuantumStrategy strategy = games::chsh_quantum_strategy(
+      games::chsh_optimal_angles(), /*flip_bob_output=*/true, 0.85);
   util::Rng rng(5);
   // Sample and compare against the exact Born probabilities.
   for (int x = 0; x < 2; ++x) {
@@ -96,7 +100,28 @@ TEST(QuantumChsh, CachedJointMatchesStrategy) {
       for (int a = 0; a < 2; ++a) {
         for (int b = 0; b < 2; ++b) {
           EXPECT_NEAR(static_cast<double>(counts[a][b]) / n,
-                      src.strategy().joint_probability(x, y, a, b), 0.012);
+                      strategy.joint_probability(x, y, a, b), 0.012);
+        }
+      }
+    }
+  }
+}
+
+TEST(QuantumChsh, TableMatchesDensityPath) {
+  for (int i = 0; i <= 8; ++i) {
+    const double v = i / 8.0;
+    const ChshSource src(v);
+    const games::QuantumStrategy strategy = games::chsh_quantum_strategy(
+        games::chsh_optimal_angles(), /*flip_bob_output=*/true, v);
+    for (int x = 0; x < 2; ++x) {
+      for (int y = 0; y < 2; ++y) {
+        for (int a = 0; a < 2; ++a) {
+          for (int b = 0; b < 2; ++b) {
+            EXPECT_NEAR(src.table().probability(x, y, a, b),
+                        strategy.joint_probability(x, y, a, b), 1e-12)
+                << "v=" << v << " x=" << x << " y=" << y << " a=" << a
+                << " b=" << b;
+          }
         }
       }
     }

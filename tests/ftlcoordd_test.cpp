@@ -428,15 +428,23 @@ TEST(Ftlcoordd, RetiredV1DecideFrameIsMalformedNotFatal) {
   const int fd = connect_tcp("127.0.0.1", daemon.port());
   ASSERT_GE(fd, 0);
 
-  // A well-formed v1 decide payload (type 1, u32 source 0, u32 count 3,
-  // three input bytes): the type is retired, so it is answered like any
-  // unknown type.
+  // Well-formed payloads of both retired types: a v1 decide frame (type 1,
+  // u32 source 0, u32 count 3, three input bytes) and a report frame
+  // (type 2, u32 source 1, u32 wins 30, u32 losses 10). Each is answered
+  // like any unknown type.
+  const std::vector<std::uint8_t> retired[] = {
+      {0x01, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00,
+       0x01},
+      {0x02, 0x01, 0x00, 0x00, 0x00, 0x1e, 0x00, 0x00, 0x00, 0x0a, 0x00,
+       0x00, 0x00}};
   std::vector<std::uint8_t> payload;
-  ASSERT_TRUE(write_frame(fd, {0x01, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00,
-                               0x00, 0x00, 0x01, 0x00, 0x01}));
-  ASSERT_TRUE(read_frame(fd, payload));
-  ASSERT_EQ(payload.size(), 1u);
-  EXPECT_EQ(static_cast<Status>(payload.at(0)), Status::kMalformed);
+  for (const std::vector<std::uint8_t>& frame : retired) {
+    ASSERT_TRUE(write_frame(fd, frame));
+    ASSERT_TRUE(read_frame(fd, payload));
+    ASSERT_EQ(payload.size(), 1u);
+    EXPECT_EQ(static_cast<Status>(payload.at(0)), Status::kMalformed)
+        << "type " << int{frame.at(0)};
+  }
 
   // The same connection then serves a v2 frame; without a deadline the
   // miss bit is never set.
@@ -541,25 +549,6 @@ TEST(Ftlcoordd, SampledV2BatchRecordsParentedServerSpans) {
   }
 }
 #endif  // FTL_OBS_ENABLED
-
-TEST(Ftlcoordd, ReportFramesAreCountedAndAcked) {
-  Daemon daemon(test_config());
-  ASSERT_TRUE(daemon.start());
-  const int fd = connect_tcp("127.0.0.1", daemon.port());
-  ASSERT_GE(fd, 0);
-
-  ReportRequest rep;
-  rep.source = 1;
-  rep.wins = 30;
-  rep.losses = 10;
-  std::vector<std::uint8_t> payload;
-  ASSERT_TRUE(write_frame(fd, encode_report_request(rep)));
-  ASSERT_TRUE(read_frame(fd, payload));
-  EXPECT_EQ(static_cast<Status>(payload.at(0)), Status::kOk);
-
-  close_fd(fd);
-  daemon.stop();
-}
 
 }  // namespace
 }  // namespace ftl::coordd

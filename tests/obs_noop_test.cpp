@@ -24,7 +24,6 @@ static_assert(std::is_empty_v<noop::Histogram>);
 static_assert(std::is_empty_v<noop::Registry>);
 static_assert(std::is_empty_v<noop::Tracer>);
 static_assert(std::is_empty_v<noop::ScopedSpan>);
-static_assert(std::is_empty_v<noop::ScopedHistogramTimer>);
 static_assert(std::is_empty_v<noop::SlidingHistogram>);
 static_assert(std::is_empty_v<noop::Profiler>);
 static_assert(std::is_empty_v<noop::ProfileStage>);
@@ -77,10 +76,8 @@ TEST(ObsNoop, CallsAreSafeAndInert) {
 }
 
 TEST(ObsNoop, ScopedTypesConstructAndDestruct) {
-  noop::Histogram h;
   {
     noop::ScopedSpan span("name", "cat");
-    noop::ScopedHistogramTimer timer(h);
   }
   noop::Tracer& t = noop::tracer();
   t.start();

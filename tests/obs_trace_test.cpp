@@ -9,13 +9,11 @@
 #include <string>
 
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace {
 
 namespace json = ftl::obs::json;
-using ftl::obs::real::ScopedHistogramTimer;
 using ftl::obs::real::ScopedSpan;
 using ftl::obs::real::Tracer;
 
@@ -97,19 +95,6 @@ TEST(ObsTracer, WriteEmitsParseableFile) {
   ASSERT_TRUE(doc.has_value());
   ASSERT_NE(doc->find("traceEvents"), nullptr);
   std::remove(path.c_str());
-}
-
-TEST(ObsScopedHistogramTimer, FeedsDurationHistogram) {
-  ftl::obs::real::Registry reg;
-  ftl::obs::real::Histogram& h =
-      reg.histogram("timer_us", 0.0, 1e9, 10);
-  {
-    ScopedHistogramTimer timer(h);
-  }
-  {
-    ScopedHistogramTimer timer(h);
-  }
-  EXPECT_EQ(h.sample().total, 2u);
 }
 
 TEST(ObsTracerNoop, EmptyTraceStillParses) {

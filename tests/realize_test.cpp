@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "games/affinity.hpp"
 #include "qcore/gates.hpp"
@@ -165,6 +166,45 @@ TEST(Realize, RandomAffinityGamesRealizeTheirSdpValues) {
     const games::RealizedXorStrategy strat(game, vectors);
     EXPECT_NEAR(strat.value(), (1.0 + vectors.bias) / 2.0, 1e-7)
         << "trial " << trial;
+  }
+}
+
+// Sum of squared Pauli coefficients: an observable sum_m c_m gamma_m squares
+// to this times the identity.
+double squared_norm(const PauliSum& op) {
+  double sum = 0.0;
+  for (const PauliTerm& t : op.terms()) sum += t.coefficient * t.coefficient;
+  return sum;
+}
+
+// Six-type games whose Tsirelson vectors once reduced to noise directions:
+// the observables lost unit norm, and the first play() aborted. The noise
+// also cost qubits: the realisation needs 2 and 1 per party.
+TEST(Realize, SixTypeGamesKeepUnitObservables) {
+  struct Case {
+    double p;
+    std::uint64_t seed;
+    std::size_t qubits;
+  };
+  for (const Case& c : {Case{0.1, 3, 2}, Case{0.5, 22, 1}}) {
+    SCOPED_TRACE(testing::Message() << "p=" << c.p << " seed=" << c.seed);
+    util::Rng rng(c.seed);
+    const auto game = games::XorGame::from_affinity(
+        games::AffinityGraph::random(6, c.p, rng));
+    sdp::GramOptions opts;
+    opts.restarts = 12;
+    const auto vectors = game.quantum_bias(opts);
+    const games::RealizedXorStrategy strat(game, vectors);
+    EXPECT_EQ(strat.qubits_per_party(), c.qubits);
+    const auto phi = strat.shared_state();
+    for (std::size_t i = 0; i < 6; ++i) {
+      for (const PauliSum* op :
+           {&strat.alice_observable(i), &strat.bob_observable(i)}) {
+        EXPECT_TRUE(op->squares_to_identity_on(phi)) << "input " << i;
+        EXPECT_NEAR(squared_norm(*op), 1.0, 1e-14) << "input " << i;
+      }
+    }
+    EXPECT_NEAR(strat.value(), (1.0 + vectors.bias) / 2.0, 1e-9);
   }
 }
 

@@ -158,8 +158,6 @@ Daemon::Daemon(const DaemonConfig& cfg)
       m_scrapes_(obs::registry().counter("qnet.live.metrics_scrapes")),
       m_decision_latency_(obs::registry().histogram(
           "qnet.live.decision_latency_s", 0.0, kLatencyHistHi, 50)),
-      m_batch_size_(obs::registry().histogram("qnet.live.batch_size", 0.0,
-                                              4096.0, 64)),
       m_deadline_hit_(obs::registry().counter("coordd.deadline.hit")),
       m_profile_requests_(obs::registry().counter("coordd.profile.requests")) {
   // Help strings for the daemon-owned families, surfaced as `# HELP` lines
@@ -176,8 +174,6 @@ Daemon::Daemon(const DaemonConfig& cfg)
                        "HTTP scrapes served on /metrics.");
   obs::set_metric_help("qnet.live.decision_latency_s",
                        "Per-decision broker latency within a batch.");
-  obs::set_metric_help("qnet.live.batch_size",
-                       "Decisions per decide batch.");
   obs::set_metric_help(
       "coordd.stage_us",
       "Per-batch serving-path stage latency in microseconds, by stage.");
@@ -405,7 +401,6 @@ bool Daemon::handle_decide(int fd, DecideRequestV2& req,
                            std::vector<DecisionEntry>& entries,
                            std::vector<qnet::LiveBroker::Decision>& decisions) {
   const std::size_t n = req.inputs.size();
-  m_batch_size_.observe(static_cast<double>(n));
   if (n == 0 || !broker_->try_admit(n)) {
     // Bounded-queue backpressure: refuse the whole batch; the client
     // retries after backing off (or sheds load).
@@ -563,26 +558,6 @@ void Daemon::handle_connection(int fd) {
           break;
         }
         if (!handle_decide(fd, *req, t_loop, t_read, entries, decisions)) {
-          return cleanup(fd);
-        }
-        break;
-      }
-      case MsgType::kReport: {
-        const auto req = decode_report_request(r);
-        if (!req || req->source >= cfg_.broker.sources) {
-          m_malformed_.inc();
-          if (!write_frame(fd, encode_status_response(Status::kMalformed))) {
-            return cleanup(fd);
-          }
-          break;
-        }
-        obs::registry()
-            .counter("qnet.live.reported.wins")
-            .inc(req->wins);
-        obs::registry()
-            .counter("qnet.live.reported.losses")
-            .inc(req->losses);
-        if (!write_frame(fd, encode_status_response(Status::kOk))) {
           return cleanup(fd);
         }
         break;

@@ -1,6 +1,6 @@
 // ftlcoordd: the long-running coordination daemon.
 //
-// Serves the decide/report protocol (protocol.hpp) on a loopback TCP port,
+// Serves the decide protocol (protocol.hpp) on a loopback TCP port,
 // backed by a concurrent qnet::LiveBroker whose producer thread refills the
 // per-source pair pools continuously. A second loopback port speaks just
 // enough HTTP for two resources: GET/HEAD /metrics answers with the
@@ -51,7 +51,7 @@ inline constexpr std::size_t kNumStages = 5;
 [[nodiscard]] const char* stage_name(Stage s) noexcept;
 
 struct DaemonConfig {
-  /// Decide/report protocol port (0 = ephemeral; query via port()).
+  /// Decide protocol port (0 = ephemeral; query via port()).
   std::uint16_t port = 0;
   /// Prometheus /metrics port (0 = ephemeral; query via metrics_port()).
   std::uint16_t metrics_port = 0;
@@ -133,7 +133,6 @@ class Daemon {
   obs::Counter& m_malformed_;
   obs::Counter& m_scrapes_;
   obs::Histogram& m_decision_latency_;
-  obs::Histogram& m_batch_size_;
 
   // Per-stage latency: cumulative histograms (full-run distribution) and
   // sliding windows (recent p50/p95/p99/p999 gauges on /metrics), both

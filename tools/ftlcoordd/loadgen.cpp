@@ -161,21 +161,6 @@ void run_worker(const LoadgenConfig& cfg, std::size_t worker_idx,
     if (!read_one()) break;
   }
 
-  if (out.ok && cfg.report) {
-    // Close the loop the paper draws: endpoints report game outcomes back.
-    ReportRequest rep;
-    rep.source = source;
-    rep.wins = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(out.rounds_won, 0xffffffffu));
-    rep.losses = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(out.decisions_ok - out.rounds_won,
-                                0xffffffffu));
-    if (!write_frame(fd, encode_report_request(rep)) ||
-        !read_frame(fd, payload)) {
-      out.ok = false;
-      out.error = "report failed";
-    }
-  }
   close_fd(fd);
 }
 

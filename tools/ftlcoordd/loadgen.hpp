@@ -33,8 +33,6 @@ struct LoadgenConfig {
   double rate_hz = 0.0;
   /// Batches in flight per connection before the worker must wait.
   std::size_t pipeline = 4;
-  /// Report wins/losses back via kReport at the end of the run.
-  bool report = true;
   /// Seed for deterministic trace-id derivation: worker w's batch b is
   /// traced under TraceContext::derive(seed, w, b), so a stepped schedule
   /// reproduces the same trace ids run over run.

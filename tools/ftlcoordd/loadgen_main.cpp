@@ -16,14 +16,13 @@ void print_usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s --port N [flags]\n"
                "  --host H          daemon host (default 127.0.0.1)\n"
-               "  --port N          daemon decide/report port (required)\n"
+               "  --port N          daemon decide port (required)\n"
                "  --threads N       worker threads / connections (default 2)\n"
                "  --sources N       daemon source count; worker i drives source i%%N (default 1)\n"
                "  --batch N         decisions per frame (default 512)\n"
                "  --decisions N     total decisions across workers (default 1000000)\n"
                "  --rate HZ         offered decisions/s; 0 = saturation (default 0)\n"
                "  --pipeline N      frames in flight per connection (default 4)\n"
-               "  --no-report       skip the final wins/losses report frame\n"
                "  --seed N          trace-id derivation seed (default 42)\n"
                "  --deadline-us US  per-request deadline budget; 0 = none (default 0)\n"
                "  --trace-sample-n N trace 1 of every N batches per worker; 0 = off (default 0)\n"
@@ -49,7 +48,6 @@ int main(int argc, char** argv) {
   cfg.decisions = static_cast<std::uint64_t>(args.get("decisions", 1000000LL));
   cfg.rate_hz = args.get("rate", 0.0);
   cfg.pipeline = args.get("pipeline", std::size_t{4});
-  cfg.report = !args.has("no-report");
   cfg.seed = static_cast<std::uint64_t>(args.get("seed", 42LL));
   cfg.deadline_us =
       static_cast<std::uint32_t>(args.get("deadline-us", 0LL));

@@ -27,7 +27,7 @@ void handle_signal(int) { g_shutdown.store(true); }
 void print_usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [flags]\n"
-               "  --port N               decide/report port (default 7400; 0 = ephemeral)\n"
+               "  --port N               decide port (default 7400; 0 = ephemeral)\n"
                "  --metrics-port N       Prometheus /metrics port (default 7401; 0 = ephemeral);\n"
                "                         also serves GET /profile?seconds=N&hz=H — an on-demand\n"
                "                         CPU profile as FlameGraph folded stacks\n"
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   }
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
-  std::cout << "ftlcoordd: serving decide/report on 127.0.0.1:"
+  std::cout << "ftlcoordd: serving decide on 127.0.0.1:"
             << daemon.port() << ", /metrics on 127.0.0.1:"
             << daemon.metrics_port() << " (" << cfg.broker.sources
             << " sources, pair rate " << cfg.broker.qnet.pair_rate_hz

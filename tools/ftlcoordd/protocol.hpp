@@ -11,11 +11,10 @@
 //             decisions, which is how the loadgen reaches millions of
 //             decisions per second on a local socket. Trace id 0 and
 //             deadline 0 mean an untraced frame without a budget.
-//   kReport   u32 source, u32 wins, u32 losses — endpoints report game
-//             outcomes back; the daemon only counts them (metrics).
 //   kStats    empty body — returns the broker's aggregated counters.
-//   Any other type (including the retired v1 decide frame, type 1) is
-//   answered kMalformed and the connection stays open.
+//   Any other type (including the retired v1 decide frame, type 1, and
+//   the retired report frame, type 2) is answered kMalformed and the
+//   connection stays open.
 // Response:   u8 status, then a status/type-specific body.
 //   kOk + Decide: u32 count, then per decision u8 flags (bit0 = output
 //             bit, bit1 = consumed a live pair, bit2 = round won, bit3 =
@@ -42,10 +41,10 @@ namespace ftl::coordd {
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 22;  // 4 MiB cap
 
 enum class MsgType : std::uint8_t {
-  kReport = 2,
   kStats = 3,
-  // Versioning is by message type. Type 1 (the retired v1 decide frame)
-  // is not reused, so a stale client gets kMalformed, never a misparse.
+  // Versioning is by message type. Retired types are not reused (1, the v1
+  // decide frame; 2, the report frame), so a stale client gets kMalformed,
+  // never a misparse.
   kDecideV2 = 4,
 };
 
@@ -68,12 +67,6 @@ struct DecideRequestV2 {
   std::uint64_t client_send_steady_ns = 0;
   std::uint32_t deadline_us = 0;
   std::vector<std::uint8_t> inputs;  // one game input bit per decision
-};
-
-struct ReportRequest {
-  std::uint32_t source = 0;
-  std::uint32_t wins = 0;
-  std::uint32_t losses = 0;
 };
 
 struct DecisionEntry {
@@ -197,17 +190,6 @@ inline std::vector<std::uint8_t> encode_decide_request_v2(
   return out;
 }
 
-inline std::vector<std::uint8_t> encode_report_request(
-    const ReportRequest& req) {
-  std::vector<std::uint8_t> out;
-  ByteWriter w(out);
-  w.u8(static_cast<std::uint8_t>(MsgType::kReport));
-  w.u32(req.source);
-  w.u32(req.wins);
-  w.u32(req.losses);
-  return out;
-}
-
 inline std::vector<std::uint8_t> encode_stats_request() {
   return {static_cast<std::uint8_t>(MsgType::kStats)};
 }
@@ -264,15 +246,6 @@ inline std::optional<DecideRequestV2> decode_decide_request_v2(
   }
   req.inputs.resize(count);
   if (count > 0 && !r.bytes(req.inputs.data(), count)) return std::nullopt;
-  return req;
-}
-
-inline std::optional<ReportRequest> decode_report_request(ByteReader& r) {
-  ReportRequest req;
-  req.source = r.u32();
-  req.wins = r.u32();
-  req.losses = r.u32();
-  if (!r.ok()) return std::nullopt;
   return req;
 }
 
