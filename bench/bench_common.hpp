@@ -16,12 +16,10 @@
 //   --trace-out=<path>     write a Chrome trace_event JSON file (open in
 //                          chrome://tracing or https://ui.perfetto.dev)
 //   --profile-out=<path>   run the in-process sampling CPU profiler for the
-//                          whole bench and write the profile on exit
+//                          whole bench and write FlameGraph folded stacks
+//                          on exit (flamegraph.pl and speedscope.app both
+//                          open them)
 //   --profile-hz=<n>       profiler sampling rate (default 99 Hz)
-//   --profile-format=folded|speedscope
-//                          output format: FlameGraph folded stacks (pipe
-//                          into flamegraph.pl) or speedscope JSON (default
-//                          folded)
 // Flag/value pairing follows util::is_value_token, so a separate
 // negative-number value (`--seed -5`) is read as the flag's value while an
 // unrelated dash token (`--seed -v`) is not.
@@ -29,7 +27,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <iostream>
@@ -54,7 +51,6 @@ struct Options {
   std::uint64_t metrics_every_ms = 0;  // 0 = no periodic snapshots
   std::string profile_out;        // empty = no CPU profile
   int profile_hz = 99;
-  std::string profile_format = "folded";  // or "speedscope"
 };
 
 /// Reads the common bench flags from the command line. The seed falls back
@@ -73,12 +69,6 @@ inline Options parse_args(int argc, const char* const* argv,
   opts.profile_out = args.get("profile-out", std::string());
   opts.profile_hz =
       static_cast<int>(args.get("profile-hz", static_cast<long long>(99)));
-  opts.profile_format = args.get("profile-format", std::string("folded"));
-  if (opts.profile_format != "folded" && opts.profile_format != "speedscope") {
-    std::cerr << "bench: unknown --profile-format '" << opts.profile_format
-              << "' (expected 'folded' or 'speedscope')\n";
-    std::exit(2);
-  }
   return opts;
 }
 
@@ -138,14 +128,12 @@ class ObsSession {
       // Stop sampling before the report/export writers below run so the
       // profile covers the bench itself, not the teardown I/O.
       obs::profiler().stop();
-      const std::string body = opts_.profile_format == "speedscope"
-                                   ? obs::profiler().speedscope(name_)
-                                   : obs::profiler().folded();
+      const std::string body = obs::profiler().folded();
       std::ofstream out(opts_.profile_out, std::ios::trunc);
       if (out && out.write(body.data(),
                            static_cast<std::streamsize>(body.size()))) {
         std::cerr << "[obs] CPU profile (" << obs::profiler().sample_count()
-                  << " samples, " << opts_.profile_format << ") written to "
+                  << " samples, folded) written to "
                   << opts_.profile_out << "\n";
       } else {
         std::cerr << "[obs] FAILED to write CPU profile to "

@@ -15,7 +15,7 @@ using namespace ftl;
 
 // Shared obs flags (see bench_common.hpp): --seed, --metrics-out,
 // --metrics-every, --prom-out, --trace-out, and --profile-out /
-// --profile-hz / --profile-format (in-process sampling CPU profile;
+// --profile-hz (in-process sampling CPU profile;
 // folded output pipes straight into flamegraph.pl).
 int main(int argc, char** argv) {
   // This bench is fully deterministic; --seed is accepted for a uniform CLI.

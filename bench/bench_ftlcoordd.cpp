@@ -1,7 +1,9 @@
-// The coordination service under load: LiveBroker stepped-mode decision
-// throughput (deterministic counters, CI-gated) and the full ftlcoordd
-// socket path driven by the in-process loadgen (throughput + latency
-// percentiles; timing-dependent, recorded but not gated).
+// The coordination service under load: the stepped stage serves a fixed
+// virtual-time schedule through coordd::serve_decide, the daemon's own
+// decide path, in frames (deterministic counters, CI-gated), and the
+// socket stage drives the full ftlcoordd socket path with the in-process
+// loadgen (throughput + latency percentiles; timing-dependent, recorded
+// but not gated).
 //
 // The qnet.live.requests counter in the run report is deterministic in
 // (seed, config): the stepped stage issues a fixed request schedule and
@@ -9,15 +11,19 @@
 // batch is ever rejected), so the bench-regression job can gate it at a
 // tight threshold even though hit/fallback splits on the socket path vary
 // with thread interleaving.
+#include <algorithm>
 #include <iostream>
 #include <sstream>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "ftlcoordd/daemon.hpp"
 #include "ftlcoordd/loadgen.hpp"
+#include "ftlcoordd/serve.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "qnet/live_broker.hpp"
+#include "util/assert.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -26,6 +32,7 @@ using namespace ftl;
 
 std::uint64_t g_seed = 42;
 constexpr std::size_t kSteppedRequests = 200000;
+constexpr std::size_t kSteppedFrame = 500;
 constexpr std::uint64_t kSocketDecisions = 500000;
 
 qnet::LiveBrokerConfig broker_config(std::size_t sources) {
@@ -55,12 +62,14 @@ struct SteppedResult {
 constexpr double kDeadlineBudgetS = 2e-6;
 constexpr double kClassicalRttS = 5e-6;
 
-// Stepped-mode broker throughput: a fixed virtual-time request schedule
-// against one source. Every qnet.live.* counter this touches is a pure
-// function of (seed, config, schedule).
+// Stepped broker throughput: a fixed virtual-time request schedule against
+// one source, served in frames of kSteppedFrame through serve_decide.
+// Decision i has input i & 1 and time i / 1e6 s, so every qnet.live.*
+// counter this touches is a pure function of (seed, config, schedule).
 SteppedResult run_stepped(std::size_t requests) {
   // Tag profiler samples taken inside this loop so the folded stacks join
-  // against the coordd.stage_us attribution (`stage:stepped;...` roots).
+  // against the coordd.stage_us attribution (`stage:stepped;...` roots
+  // around serve_decide's own stage tags).
   const obs::ProfileStage profile_tag("stepped");
   qnet::LiveBroker broker(broker_config(1), g_seed);
   obs::Counter& m_deadline_hit = obs::registry().counter("coordd.deadline.hit");
@@ -69,19 +78,36 @@ SteppedResult run_stepped(std::size_t requests) {
   const double request_rate_hz = 1e6;
   SteppedResult out;
   out.requests = requests;
+  coordd::DecideRequestV2 req;
+  std::vector<coordd::DecisionEntry> entries;
+  std::vector<qnet::LiveBroker::Decision> decisions;
+  std::size_t i = 0;
+  const auto decision_time = [&i, request_rate_hz] {
+    return static_cast<double>(i++) / request_rate_hz;
+  };
   const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < requests; ++i) {
-    const double t = static_cast<double>(i) / request_rate_hz;
-    const auto d = broker.decide(0, static_cast<std::uint8_t>(i & 1u), t);
-    out.hits += d.quantum ? 1 : 0;
-    out.rounds_won += d.round_won ? 1 : 0;
-    const double service_s = d.quantum ? 0.0 : kClassicalRttS;
-    if (service_s > kDeadlineBudgetS) {
-      ++out.deadline_miss;
-      m_deadline_miss.inc();
-    } else {
-      ++out.deadline_hit;
-      m_deadline_hit.inc();
+  while (i < requests) {
+    req.inputs.clear();
+    for (std::size_t k = i; k < std::min(requests, i + kSteppedFrame); ++k) {
+      req.inputs.push_back(static_cast<std::uint8_t>(k & 1u));
+    }
+    const coordd::Served served =
+        coordd::serve_decide(broker, req, decision_time, entries, decisions);
+    // Frames of kSteppedFrame stay far below the default admission bound.
+    FTL_ASSERT(served.admitted);
+    for (const coordd::DecisionEntry& e : entries) {
+      const bool quantum = (e.flags & coordd::DecisionEntry::kQuantumBit) != 0;
+      out.hits += quantum ? 1 : 0;
+      out.rounds_won +=
+          (e.flags & coordd::DecisionEntry::kRoundWonBit) != 0 ? 1 : 0;
+      const double service_s = quantum ? 0.0 : kClassicalRttS;
+      if (service_s > kDeadlineBudgetS) {
+        ++out.deadline_miss;
+        m_deadline_miss.inc();
+      } else {
+        ++out.deadline_hit;
+        m_deadline_hit.inc();
+      }
     }
   }
   out.wall_s =
@@ -118,7 +144,7 @@ coordd::LoadgenResult run_socket(std::uint64_t decisions) {
 
 // Shared obs flags (see bench_common.hpp): --seed, --metrics-out,
 // --metrics-every, --prom-out, --trace-out, and --profile-out /
-// --profile-hz / --profile-format (in-process sampling CPU profile;
+// --profile-hz (in-process sampling CPU profile;
 // folded output pipes straight into flamegraph.pl).
 int main(int argc, char** argv) {
   const ftl::bench::Options obs_opts =

@@ -63,7 +63,7 @@ lb::LbResult run_reference(const std::string& kind, std::size_t servers) {
 
 // Shared obs flags (see bench_common.hpp): --seed, --metrics-out,
 // --metrics-every, --prom-out, --trace-out, and --profile-out /
-// --profile-hz / --profile-format (in-process sampling CPU profile;
+// --profile-hz (in-process sampling CPU profile;
 // folded output pipes straight into flamegraph.pl).
 int main(int argc, char** argv) {
   const ftl::bench::Options obs_opts =

@@ -47,7 +47,7 @@ double advantage_probability(std::size_t vertices, double p_exclusive,
 
 // Shared obs flags (see bench_common.hpp): --seed, --metrics-out,
 // --metrics-every, --prom-out, --trace-out, and --profile-out /
-// --profile-hz / --profile-format (in-process sampling CPU profile;
+// --profile-hz (in-process sampling CPU profile;
 // folded output pipes straight into flamegraph.pl).
 int main(int argc, char** argv) {
   const ftl::bench::Options obs_opts =

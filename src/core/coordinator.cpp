@@ -22,25 +22,6 @@ PairStats Coordinator::aggregate_stats() const {
   return total;
 }
 
-std::unique_ptr<lb::LbStrategy> Coordinator::make_lb_strategy() const {
-  std::unique_ptr<correlate::PairedDecisionSource> src;
-  switch (cfg_.backend) {
-    case Backend::kIndependent:
-      src = std::make_unique<correlate::IndependentRandomSource>();
-      break;
-    case Backend::kClassicalShared:
-      src = std::make_unique<correlate::ClassicalChshSource>();
-      break;
-    case Backend::kQuantum:
-      src = std::make_unique<correlate::ChshSource>(cfg_.visibility);
-      break;
-    case Backend::kOmniscient:
-      src = std::make_unique<correlate::OmniscientOracleSource>();
-      break;
-  }
-  return std::make_unique<lb::PairedStrategy>(std::move(src));
-}
-
 ProvisioningReport Coordinator::provision(const qnet::QnetConfig& supply,
                                           double source_visibility,
                                           double request_rate_hz,

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/correlated_pair.hpp"
-#include "lb/strategy.hpp"
 #include "qnet/broker.hpp"
 
 namespace ftl::core {
@@ -57,10 +56,6 @@ class Coordinator {
 
   /// Per-pair statistics, aggregated.
   [[nodiscard]] PairStats aggregate_stats() const;
-
-  /// Builds a load-balancer strategy backed by this coordinator's
-  /// configuration (used by the examples and benches).
-  [[nodiscard]] std::unique_ptr<lb::LbStrategy> make_lb_strategy() const;
 
   /// Answers "should I deploy the quantum backend?" for a given supply
   /// model and request rate, by running the qnet broker simulation.

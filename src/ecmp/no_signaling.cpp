@@ -24,6 +24,11 @@ std::vector<std::vector<double>> joint_ab(const qcore::Density& rho,
   return p;
 }
 
+namespace {
+
+/// Same joint, computed the "C measures first" way: C (qubit_c) measures in
+/// basis_c, and the A/B joint is averaged over C's outcomes. By
+/// no-signaling this must equal joint_ab for every basis_c.
 std::vector<std::vector<double>> joint_ab_after_c(
     const qcore::Density& rho, std::size_t qubit_a, const qcore::CMat& basis_a,
     std::size_t qubit_b, const qcore::CMat& basis_b, std::size_t qubit_c,
@@ -41,6 +46,8 @@ std::vector<std::vector<double>> joint_ab_after_c(
   }
   return p;
 }
+
+}  // namespace
 
 double no_signaling_deviation(const qcore::Density& rho, std::size_t qubit_a,
                               const qcore::CMat& basis_a, std::size_t qubit_b,

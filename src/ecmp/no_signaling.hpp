@@ -23,15 +23,8 @@ namespace ftl::ecmp {
     const qcore::Density& rho, std::size_t qubit_a, const qcore::CMat& basis_a,
     std::size_t qubit_b, const qcore::CMat& basis_b);
 
-/// Same joint, computed the "C measures first" way: C (qubit_c) measures in
-/// basis_c, and the A/B joint is averaged over C's outcomes. By
-/// no-signaling this must equal joint_ab for every basis_c.
-[[nodiscard]] std::vector<std::vector<double>> joint_ab_after_c(
-    const qcore::Density& rho, std::size_t qubit_a, const qcore::CMat& basis_a,
-    std::size_t qubit_b, const qcore::CMat& basis_b, std::size_t qubit_c,
-    const qcore::CMat& basis_c);
-
-/// Max absolute difference between the two computations over all outcome
+/// Max absolute difference between joint_ab and the joint computed with C
+/// measuring first in basis_c (averaged over C's outcomes), over all outcome
 /// pairs — zero (to numerical precision) for every physical state/basis.
 [[nodiscard]] double no_signaling_deviation(
     const qcore::Density& rho, std::size_t qubit_a, const qcore::CMat& basis_a,

@@ -5,10 +5,6 @@
 
 namespace ftl::games {
 
-bool is_valid_box(const CorrelationBox& box, double tol) {
-  return box.is_valid(tol);
-}
-
 bool is_no_signaling(const CorrelationBox& box, double tol) {
   return box.no_signaling_violation() <= tol;
 }

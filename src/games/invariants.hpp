@@ -14,9 +14,6 @@
 
 namespace ftl::games {
 
-/// Non-negative entries, each conditional distribution sums to 1.
-[[nodiscard]] bool is_valid_box(const CorrelationBox& box, double tol = 1e-9);
-
 /// Neither side's marginal depends on the other side's input. Physical
 /// (quantum or classical) boxes must satisfy this — it is the paper's
 /// "respecting causality" clause.

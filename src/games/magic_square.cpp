@@ -36,6 +36,25 @@ std::array<int, 3> decode(std::size_t symbol, int required_product) {
   return {e0, e1, required_product * e0 * e1};
 }
 
+/// The game as a TwoPartyGame: inputs are row/column indices (3 each);
+/// outputs encode the two free entries of a valid triple (4 each; the
+/// third entry is fixed by the parity constraint).
+TwoPartyGame as_two_party_game() {
+  std::vector wins(3, std::vector(3, std::vector(4, std::vector<bool>(4))));
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      for (std::size_t a = 0; a < 4; ++a) {
+        for (std::size_t b = 0; b < 4; ++b) {
+          const auto row = decode(a, +1);
+          const auto col = decode(b, -1);
+          wins[r][c][a][b] = row[c] == col[r];
+        }
+      }
+    }
+  }
+  return TwoPartyGame(std::move(wins), TwoPartyGame::uniform_inputs(3, 3));
+}
+
 }  // namespace
 
 MagicSquareGame::MagicSquareGame() {
@@ -65,22 +84,6 @@ qcore::StateVec MagicSquareGame::shared_state() {
     }
   }
   return qcore::StateVec::from_amplitudes(std::move(amps));
-}
-
-TwoPartyGame MagicSquareGame::as_two_party_game() const {
-  std::vector wins(3, std::vector(3, std::vector(4, std::vector<bool>(4))));
-  for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) {
-      for (std::size_t a = 0; a < 4; ++a) {
-        for (std::size_t b = 0; b < 4; ++b) {
-          const auto row = decode(a, +1);
-          const auto col = decode(b, -1);
-          wins[r][c][a][b] = row[c] == col[r];
-        }
-      }
-    }
-  }
-  return TwoPartyGame(std::move(wins), TwoPartyGame::uniform_inputs(3, 3));
 }
 
 double MagicSquareGame::classical_value() const {

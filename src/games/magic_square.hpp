@@ -29,11 +29,6 @@ class MagicSquareGame {
  public:
   MagicSquareGame();
 
-  /// The game as a TwoPartyGame: inputs are row/column indices (3 each);
-  /// outputs encode the two free entries of a valid triple (4 each; the
-  /// third entry is fixed by the parity constraint).
-  [[nodiscard]] TwoPartyGame as_two_party_game() const;
-
   /// Exact classical value by exhaustive search (= 8/9).
   [[nodiscard]] double classical_value() const;
 

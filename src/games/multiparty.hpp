@@ -20,8 +20,6 @@ class GhzParityGame {
  public:
   explicit GhzParityGame(std::size_t num_parties);
 
-  [[nodiscard]] std::size_t num_parties() const { return n_; }
-
   /// All valid (even-parity) input bitstrings, uniformly distributed.
   [[nodiscard]] const std::vector<std::vector<int>>& inputs() const {
     return inputs_;

@@ -39,8 +39,4 @@ std::string conservation_violation(const LbResult& r) {
   return "";
 }
 
-bool conserves_requests(const LbResult& r) {
-  return conservation_violation(r).empty();
-}
-
 }  // namespace ftl::lb

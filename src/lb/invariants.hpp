@@ -18,7 +18,4 @@ namespace ftl::lb {
 /// failure note).
 [[nodiscard]] std::string conservation_violation(const LbResult& r);
 
-/// Convenience wrapper: conservation_violation(r).empty().
-[[nodiscard]] bool conserves_requests(const LbResult& r);
-
 }  // namespace ftl::lb

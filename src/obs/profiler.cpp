@@ -19,11 +19,8 @@
 #include <map>
 #include <mutex>
 #include <new>
-#include <set>
 #include <thread>
 #include <utility>
-
-#include "obs/json.hpp"
 
 namespace ftl::obs {
 
@@ -308,11 +305,6 @@ std::string Profiler::folded() const {
   });
 }
 
-std::string Profiler::speedscope(std::string_view name) const {
-  return speedscope_profile(
-      samples(), [](std::uintptr_t pc) { return symbolize_pc(pc); }, name);
-}
-
 Profiler& profiler() {
   static Profiler p;
   return p;
@@ -547,94 +539,6 @@ std::string fold_profile(const std::vector<ProfileSample>& samples,
     out += '\n';
   }
   return out;
-}
-
-std::string speedscope_profile(const std::vector<ProfileSample>& samples,
-                               const SymbolizeFn& symbolize,
-                               std::string_view name) {
-  const std::map<std::string, std::uint64_t> stacks =
-      aggregate_folded(samples, symbolize);
-
-  // Shared frame table in sorted order; per-stack frame-index lists keyed
-  // by the folded line so the sample order is deterministic too.
-  std::set<std::string> frame_set;
-  for (const auto& [stack, count] : stacks) {
-    std::size_t begin = 0;
-    while (begin <= stack.size()) {
-      const std::size_t semi = stack.find(';', begin);
-      const std::size_t end = semi == std::string::npos ? stack.size() : semi;
-      frame_set.insert(stack.substr(begin, end - begin));
-      if (semi == std::string::npos) break;
-      begin = semi + 1;
-    }
-  }
-  std::map<std::string, std::size_t> frame_index;
-  std::vector<const std::string*> frames;
-  for (const std::string& f : frame_set) {
-    frame_index.emplace(f, frames.size());
-    frames.push_back(&f);
-  }
-
-  std::uint64_t total = 0;
-  for (const auto& [stack, count] : stacks) total += count;
-
-  json::Writer w;
-  w.begin_object();
-  w.key("$schema");
-  w.value("https://www.speedscope.app/file-format-schema.json");
-  w.key("exporter");
-  w.value("ftl-obs-profiler");
-  w.key("name");
-  w.value(std::string(name));
-  w.key("shared");
-  w.begin_object();
-  w.key("frames");
-  w.begin_array();
-  for (const std::string* f : frames) {
-    w.begin_object();
-    w.key("name");
-    w.value(*f);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  w.key("profiles");
-  w.begin_array();
-  w.begin_object();
-  w.key("type");
-  w.value("sampled");
-  w.key("name");
-  w.value(std::string(name));
-  w.key("unit");
-  w.value("none");
-  w.key("startValue");
-  w.value(std::uint64_t{0});
-  w.key("endValue");
-  w.value(total);
-  w.key("samples");
-  w.begin_array();
-  for (const auto& [stack, count] : stacks) {
-    w.begin_array();
-    std::size_t begin = 0;
-    while (begin <= stack.size()) {
-      const std::size_t semi = stack.find(';', begin);
-      const std::size_t end = semi == std::string::npos ? stack.size() : semi;
-      w.value(static_cast<std::uint64_t>(
-          frame_index.at(stack.substr(begin, end - begin))));
-      if (semi == std::string::npos) break;
-      begin = semi + 1;
-    }
-    w.end_array();
-  }
-  w.end_array();
-  w.key("weights");
-  w.begin_array();
-  for (const auto& [stack, count] : stacks) w.value(count);
-  w.end_array();
-  w.end_object();
-  w.end_array();
-  w.end_object();
-  return w.take();
 }
 
 }  // namespace ftl::obs

@@ -20,12 +20,11 @@
 //    binary's own ELF .symtab/.dynsym is parsed from /proc/self/exe so
 //    static functions and lambdas resolve without -rdynamic, with dladdr
 //    covering shared-library frames and a hex fallback for the rest.
-//  * Two deterministic exporters: FlameGraph folded stacks
+//  * One deterministic exporter: FlameGraph folded stacks
 //    (`frame;frame;leaf count` lines, lexicographically sorted so golden
-//    tests work) and speedscope JSON ("sampled" profile for
-//    https://www.speedscope.app). Both are pure functions over a sample
-//    vector and an injectable symbolizer, so they unit-test without
-//    signals.
+//    tests work), which flamegraph.pl and https://www.speedscope.app both
+//    open directly. It is a pure function over a sample vector and an
+//    injectable symbolizer, so it unit-tests without signals.
 //
 // House rules: real/noop twins behind FTL_OBS_ENABLED (the noop Profiler
 // is an empty type asserted by obs_noop_test; set_profile_stage compiles
@@ -42,7 +41,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"  // FTL_OBS_ENABLED default + obs::kEnabled
@@ -90,13 +88,6 @@ using SymbolizeFn = std::function<std::string(std::uintptr_t)>;
 [[nodiscard]] std::string fold_profile(const std::vector<ProfileSample>& samples,
                                        const SymbolizeFn& symbolize);
 
-/// speedscope JSON ("sampled" profile): shared frame table + one weighted
-/// entry per distinct stack, both in sorted order. `name` labels the
-/// profile in the speedscope UI.
-[[nodiscard]] std::string speedscope_profile(
-    const std::vector<ProfileSample>& samples, const SymbolizeFn& symbolize,
-    std::string_view name);
-
 namespace real {
 
 /// The process-wide sampling profiler. All state lives behind a single
@@ -127,8 +118,6 @@ class Profiler {
   [[nodiscard]] std::vector<ProfileSample> samples() const;
   /// fold_profile(samples(), symbolize_pc).
   [[nodiscard]] std::string folded() const;
-  /// speedscope_profile(samples(), symbolize_pc, name).
-  [[nodiscard]] std::string speedscope(std::string_view name) const;
 
  private:
   ProfilerOptions opts_{};
@@ -171,7 +160,6 @@ struct Profiler {
   [[nodiscard]] ProfilerOptions options() const noexcept { return {}; }
   [[nodiscard]] std::vector<ProfileSample> samples() const { return {}; }
   [[nodiscard]] std::string folded() const { return {}; }
-  [[nodiscard]] std::string speedscope(std::string_view) const { return {}; }
 };
 
 inline Profiler& profiler() noexcept {

@@ -80,12 +80,4 @@ bool is_cptp(const Channel& ch, double tol) {
   return is_completely_positive(ch, tol) && choi_trace_preserving(ch, tol);
 }
 
-bool is_unital(const Channel& ch, double tol) {
-  FTL_ASSERT(!ch.kraus.empty());
-  const std::size_t d_out = ch.kraus.front().rows();
-  CMat sum(d_out, d_out);
-  for (const CMat& k : ch.kraus) sum += k * k.adjoint();
-  return sum.approx_equal(CMat::identity(d_out), tol);
-}
-
 }  // namespace ftl::qcore

@@ -39,11 +39,6 @@ namespace ftl::qcore {
 /// The full physical-channel invariant: CP and TP.
 [[nodiscard]] bool is_cptp(const Channel& ch, double tol = 1e-8);
 
-/// Phi(I) == I: the channel fixes the maximally mixed state. Not required
-/// of physical channels (amplitude damping is non-unital); exposed so tests
-/// can document which generators produce unital noise.
-[[nodiscard]] bool is_unital(const Channel& ch, double tol = 1e-8);
-
 /// Explains the first violated clause ("not Hermitian", "trace != 1", ...);
 /// empty when `rho` is a valid density matrix. Property-test failure notes
 /// use this so a shrunk counterexample names the broken law.

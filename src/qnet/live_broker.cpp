@@ -11,7 +11,6 @@ LiveBroker::LiveBroker(const LiveBrokerConfig& cfg, std::uint64_t seed)
       max_storage_s_(storage_limit_s(cfg.qnet, cfg.qnet.source_visibility)),
       win_curve_(cfg.qnet.source_visibility, cfg.qnet.memory_t1_s,
                  cfg.qnet.memory_t2_s, max_storage_s_),
-      t0_(std::chrono::steady_clock::now()),
       m_requests_(obs::registry().counter("qnet.live.requests")),
       m_hits_(obs::registry().counter("qnet.live.hits")),
       m_fallbacks_(obs::registry().counter("qnet.live.fallbacks")),
@@ -34,13 +33,6 @@ LiveBroker::LiveBroker(const LiveBrokerConfig& cfg, std::uint64_t seed)
     sources_.push_back(
         std::make_unique<Source>(cfg_.qnet, max_storage_s_, master.split(i)));
   }
-}
-
-LiveBroker::~LiveBroker() { stop_producer(); }
-
-double LiveBroker::now_s() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
-      .count();
 }
 
 void LiveBroker::produce_until(std::size_t source, double now_s) {
@@ -79,10 +71,10 @@ LiveBroker::Decision LiveBroker::decide(std::size_t source, std::uint8_t input,
   m_requests_.inc();
   // Resolve emissions up to the request time before consuming: the pool
   // must reflect every pair that has physically arrived by now_s, not just
-  // those the producer thread's last tick saw. (Idempotent in stepped mode,
-  // where callers produce and decide at the same virtual time; essential in
-  // live mode, where the storage window is far shorter than any sane refill
-  // period.) Ends with expiry eviction, so the pool only holds live pairs.
+  // those the caller's last produce_until saw. (Idempotent when callers
+  // produce and decide at the same time; essential when a refill thread
+  // runs far less often than the storage window.) Ends with expiry
+  // eviction, so the pool only holds live pairs.
   produce_locked(s, now_s);
   if (const std::optional<double> age = s.pool.take_freshest(now_s)) {
     d.quantum = true;
@@ -109,43 +101,6 @@ LiveBroker::Decision LiveBroker::decide(std::size_t source, std::uint8_t input,
   }
   s.win_sum += d.win_probability;
   return d;
-}
-
-void LiveBroker::start_producer(std::chrono::microseconds period) {
-  const std::lock_guard<std::mutex> lock(producer_mu_);
-  if (producer_running_) return;
-  producer_stop_ = false;
-  producer_running_ = true;
-  producer_ = std::thread([this, period] {
-    std::unique_lock<std::mutex> lk(producer_mu_);
-    while (!producer_stop_) {
-      lk.unlock();
-      const double now = now_s();
-      for (std::size_t i = 0; i < sources_.size(); ++i) {
-        produce_until(i, now);
-      }
-      lk.lock();
-      producer_cv_.wait_for(lk, period, [this] { return producer_stop_; });
-    }
-  });
-}
-
-void LiveBroker::stop_producer() {
-  std::thread joinable;
-  {
-    const std::lock_guard<std::mutex> lock(producer_mu_);
-    if (!producer_running_) return;
-    producer_stop_ = true;
-    producer_cv_.notify_all();
-    joinable = std::move(producer_);
-    producer_running_ = false;
-  }
-  joinable.join();
-}
-
-bool LiveBroker::producer_running() const {
-  const std::lock_guard<std::mutex> lock(producer_mu_);
-  return producer_running_;
 }
 
 bool LiveBroker::try_admit(std::size_t n) {

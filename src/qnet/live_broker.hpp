@@ -2,35 +2,30 @@
 //
 // LiveBroker holds one PairPool per source (Poisson emission resolved at
 // arrival time, fiber loss, freshest-first consumption, expiry then
-// drop-oldest on arrival) that a producer advances continuously while any
-// number of request threads consume pairs. Admission control bounds the
-// number of in-flight decisions, and every decision feeds `qnet.live.*`
-// metrics so a scrape of the daemon shows hit fraction, consumed age, and
-// fallback rate live.
+// drop-oldest on arrival) that any number of threads advance and consume
+// from. Admission control bounds the number of in-flight decisions, and
+// every decision feeds `qnet.live.*` metrics so a scrape of the daemon
+// shows hit fraction, consumed age, and fallback rate live.
 //
 // Metric semantics: `qnet.live.pairs.*` receive the pool's tally deltas
 // (only the non-zero ones) after each produce, and
 // `qnet.live.consumed.age_s` gets one observation per hit.
 //
-// Two clocks, one code path:
-//  * live mode — start_producer() runs a refill thread against the broker's
-//    monotonic clock; decide_now() consumes at wall-clock time. This is
-//    what tools/ftlcoordd serves.
-//  * stepped mode — callers advance virtual time explicitly via
-//    produce_until()/decide(). Each source's pool and decisions draw from
-//    one per-source RNG stream, so every counter is deterministic in
-//    (seed, config, request schedule), independent of thread interleaving
-//    as long as each source has one driver — the property bench_ftlcoordd's
-//    CI-gated counters rely on.
+// One mode: the broker reads no clock and starts no thread. Callers pass
+// every time to produce_until()/decide(): ftlcoordd passes seconds on its
+// own clock and runs its own refill thread, while bench_ftlcoordd and the
+// tests pass virtual times. Each source's pool and decisions draw from one
+// per-source RNG stream, so every counter is deterministic in (seed,
+// config, request schedule), independent of thread interleaving as long as
+// each source is called from one thread — the property bench_ftlcoordd's
+// CI-gated counters rely on.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -105,12 +100,9 @@ class LiveBroker {
   };
 
   LiveBroker(const LiveBrokerConfig& cfg, std::uint64_t seed);
-  ~LiveBroker();
 
   LiveBroker(const LiveBroker&) = delete;
   LiveBroker& operator=(const LiveBroker&) = delete;
-
-  // -- stepped mode (deterministic) -----------------------------------------
 
   /// Advances `source`'s pool to now_s (see PairPool::produce_until).
   void produce_until(std::size_t source, double now_s);
@@ -119,22 +111,6 @@ class LiveBroker {
   /// fallback when the pool is empty). `input` is the endpoint's game
   /// input bit.
   Decision decide(std::size_t source, std::uint8_t input, double now_s);
-
-  // -- live mode ------------------------------------------------------------
-
-  /// Seconds on the broker's monotonic clock since construction.
-  [[nodiscard]] double now_s() const;
-
-  /// Starts the background refill thread: every `period` it advances every
-  /// source to now_s(). No-op when already running.
-  void start_producer(std::chrono::microseconds period);
-  void stop_producer();
-  [[nodiscard]] bool producer_running() const;
-
-  /// decide() at the current monotonic time.
-  Decision decide_now(std::size_t source, std::uint8_t input) {
-    return decide(source, input, now_s());
-  }
 
   // -- admission control ----------------------------------------------------
 
@@ -186,15 +162,6 @@ class LiveBroker {
 
   std::atomic<std::size_t> pending_{0};
   std::atomic<std::uint64_t> rejected_{0};
-
-  std::chrono::steady_clock::time_point t0_;
-
-  // Producer thread lifecycle.
-  mutable std::mutex producer_mu_;
-  std::condition_variable producer_cv_;
-  std::thread producer_;
-  bool producer_stop_ = false;
-  bool producer_running_ = false;
 
   // Hoisted qnet.live.* metrics (lock-free writes on the hot path).
   obs::Counter& m_requests_;

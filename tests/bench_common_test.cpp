@@ -31,8 +31,7 @@ TEST(BenchParseArgs, ReadsAllOwnedFlags) {
   const Options opts =
       parse({"bench", "--seed", "123", "--metrics-out=m.json",
              "--metrics-every=50", "--prom-out=m.prom", "--trace-out",
-             "t.json", "--profile-out=p.folded", "--profile-hz", "997",
-             "--profile-format=speedscope"},
+             "t.json", "--profile-out=p.folded", "--profile-hz", "997"},
             7);
   EXPECT_EQ(opts.seed, 123u);
   EXPECT_EQ(opts.metrics_out, "m.json");
@@ -41,21 +40,12 @@ TEST(BenchParseArgs, ReadsAllOwnedFlags) {
   EXPECT_EQ(opts.trace_out, "t.json");
   EXPECT_EQ(opts.profile_out, "p.folded");
   EXPECT_EQ(opts.profile_hz, 997);
-  EXPECT_EQ(opts.profile_format, "speedscope");
 }
 
 TEST(BenchParseArgs, ProfileDefaults) {
   const Options opts = parse({"bench"}, 7);
   EXPECT_TRUE(opts.profile_out.empty());
   EXPECT_EQ(opts.profile_hz, 99);
-  EXPECT_EQ(opts.profile_format, "folded");
-}
-
-TEST(BenchParseArgs, UnknownProfileFormatDiesLoudly) {
-  // A silent typo here would drop the profile the user asked for.
-  EXPECT_DEATH(
-      (void)parse({"bench", "--profile-out=p", "--profile-format=pprof"}, 7),
-      "unknown --profile-format");
 }
 
 TEST(BenchParseArgs, NegativeNumberValueIsConsumedWithItsFlag) {

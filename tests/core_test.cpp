@@ -169,17 +169,6 @@ TEST(Coordinator, PairsGetDistinctSeeds) {
   EXPECT_GT(diff, 10);
 }
 
-TEST(Coordinator, MakeLbStrategyMatchesBackend) {
-  PairConfig cfg;
-  cfg.backend = Backend::kQuantum;
-  Coordinator coord(cfg);
-  const auto strat = coord.make_lb_strategy();
-  EXPECT_EQ(strat->name(), "paired(quantum-chsh)");
-  cfg.backend = Backend::kClassicalShared;
-  EXPECT_EQ(Coordinator(cfg).make_lb_strategy()->name(),
-            "paired(classical-chsh)");
-}
-
 TEST(Coordinator, ProvisioningReportsWorthwhileWhenSupplied) {
   qnet::QnetConfig supply;
   supply.pair_rate_hz = 1e6;

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "ftlbench/trajectory.hpp"
+#include "obs/metrics.hpp"
 
 namespace ftl::benchtool {
 namespace {
@@ -89,7 +90,12 @@ TEST_F(FtlbenchIntegration, DefaultRunRecordsTheCommittedBaseline) {
       (fs::path(FTL_BASELINE_DIR) / trajectory_filename(kBench)).string());
   ASSERT_TRUE(baseline.has_value());
   ASSERT_FALSE(baseline->entries.empty());
-  EXPECT_EQ(t->entries.front().counters, baseline->entries.back().counters);
+  if (obs::kEnabled) {
+    EXPECT_EQ(t->entries.front().counters, baseline->entries.back().counters);
+  } else {
+    // Under FTL_OBS_ENABLED=OFF the no-op registry records no counter.
+    EXPECT_TRUE(t->entries.front().counters.empty());
+  }
 }
 
 TEST_F(FtlbenchIntegration, CompareGateOnRealAndInjectedData) {
@@ -99,11 +105,13 @@ TEST_F(FtlbenchIntegration, CompareGateOnRealAndInjectedData) {
   ASSERT_EQ(run(ftlbench_run_cmd(cand.string(), 1)), 0);
 
   // Deterministic counters with a pinned seed: identical -> exit 0 even at
-  // a tight threshold.
+  // a tight threshold. Under FTL_OBS_ENABLED=OFF neither side has the
+  // counter, so the gate compares nothing and exits 2.
   const std::string compare_counters =
       std::string(FTL_FTLBENCH_BIN) + " compare " + base.string() + " " +
-      cand.string() + " --metric=sdp.gram.solves --threshold=1.01 >/dev/null";
-  EXPECT_EQ(run(compare_counters), 0);
+      cand.string() +
+      " --metric=sdp.gram.solves --threshold=1.01 >/dev/null 2>&1";
+  EXPECT_EQ(run(compare_counters), obs::kEnabled ? 0 : 2);
 
   // Inject a 10x wall-time slowdown into the candidate trajectory: the gate
   // must trip (exit 1). The slowdown is set against the baseline run, not

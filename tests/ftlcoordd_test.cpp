@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -549,6 +550,69 @@ TEST(Ftlcoordd, SampledV2BatchRecordsParentedServerSpans) {
   }
 }
 #endif  // FTL_OBS_ENABLED
+
+/// One kStats exchange on an open decide connection.
+std::optional<StatsReply> stats_over(int fd) {
+  std::vector<std::uint8_t> payload;
+  if (!write_frame(fd, encode_stats_request()) || !read_frame(fd, payload)) {
+    return std::nullopt;
+  }
+  return decode_stats_response(payload);
+}
+
+TEST(Ftlcoordd, FramesCounterIncludesEachFrameBeforeItsReply) {
+  Daemon daemon(test_config());
+  ASSERT_TRUE(daemon.start());
+  const int fd = connect_tcp("127.0.0.1", daemon.port());
+  ASSERT_GE(fd, 0);
+  const obs::Counter& frames = obs::registry().counter("qnet.live.frames");
+  const std::uint64_t before = frames.value();
+
+  DecideRequestV2 req;
+  req.source = 1;
+  req.inputs.assign(64, 1);
+  std::vector<std::uint8_t> payload;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(write_frame(fd, encode_decide_request_v2(req)));
+    ASSERT_TRUE(read_frame(fd, payload));
+  }
+  const std::optional<StatsReply> stats = stats_over(fd);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->requests, 3u * 64u);
+  // Read right after the kStats reply, the counter already holds all four
+  // frames: the daemon counts a frame when it reads it, before replying.
+  if (obs::kEnabled) {
+    EXPECT_EQ(frames.value() - before, 4u);
+  }
+
+  close_fd(fd);
+  daemon.stop();
+}
+
+TEST(Ftlcoordd, IdleDaemonRefillsItsPoolsAcrossRestart) {
+  Daemon daemon(test_config());
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    ASSERT_TRUE(daemon.start());
+    const int fd = connect_tcp("127.0.0.1", daemon.port());
+    ASSERT_GE(fd, 0);
+    // No decide frame is sent, so only the refill thread makes pairs.
+    std::uint64_t generated = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (generated == 0 && std::chrono::steady_clock::now() < deadline) {
+      const std::optional<StatsReply> stats = stats_over(fd);
+      ASSERT_TRUE(stats.has_value());
+      EXPECT_EQ(stats->requests, 0u);
+      generated = stats->pairs_generated;
+      if (generated == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    EXPECT_GT(generated, 0u) << "cycle " << cycle;
+    close_fd(fd);
+    daemon.stop();
+  }
+}
 
 }  // namespace
 }  // namespace ftl::coordd

@@ -1,8 +1,9 @@
 // Concurrent producer/consumer exercise of the LiveBroker, run under the
-// tsan preset in CI (ctest -L thread). The assertions are conservation
-// identities that must survive arbitrary interleavings; the real payload is
-// ThreadSanitizer watching the per-source locking and the admission
-// atomics.
+// tsan preset in CI (ctest -L thread). The broker starts no thread, so the
+// test runs its own refill thread, as ftlcoordd does. The assertions are
+// conservation identities that must survive arbitrary interleavings; the
+// real payload is ThreadSanitizer watching the per-source locking and the
+// admission atomics.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,8 +31,20 @@ LiveBrokerConfig concurrent_config() {
 
 TEST(LiveBrokerConcurrency, ProducerAndConsumersRaceSafely) {
   LiveBroker broker(concurrent_config(), /*seed=*/42);
-  broker.start_producer(std::chrono::microseconds(100));
-  ASSERT_TRUE(broker.producer_running());
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto now_s = [t0] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
+  std::atomic<bool> stop_refill{false};
+  std::thread refill([&] {
+    while (!stop_refill.load()) {
+      const double now = now_s();
+      for (std::size_t i = 0; i < 4; ++i) broker.produce_until(i, now);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
 
   constexpr int kThreads = 3;
   constexpr std::uint64_t kDecisionsPerThread = 20000;
@@ -39,27 +52,27 @@ TEST(LiveBrokerConcurrency, ProducerAndConsumersRaceSafely) {
   std::vector<std::thread> consumers;
   consumers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    consumers.emplace_back([&broker, &quantum_hits, t] {
+    consumers.emplace_back([&broker, &quantum_hits, &now_s, t] {
       std::uint64_t local_hits = 0;
       for (std::uint64_t i = 0; i < kDecisionsPerThread; ++i) {
         const std::size_t source = (static_cast<std::size_t>(t) + i) % 4;
         const auto d =
-            broker.decide_now(source, static_cast<std::uint8_t>(i & 1u));
+            broker.decide(source, static_cast<std::uint8_t>(i & 1u), now_s());
         if (d.quantum) ++local_hits;
       }
       quantum_hits.fetch_add(local_hits, std::memory_order_relaxed);
     });
   }
   for (auto& c : consumers) c.join();
-  broker.stop_producer();
-  EXPECT_FALSE(broker.producer_running());
+  stop_refill.store(true);
+  refill.join();
 
   const LiveBrokerStats s = broker.stats();
   EXPECT_EQ(s.requests, kThreads * kDecisionsPerThread);
   EXPECT_EQ(s.hits, quantum_hits.load());
   EXPECT_EQ(s.hits + s.fallbacks, s.requests);
   EXPECT_TRUE(s.conservation_holds());
-  // The producer ran for the whole consumer phase; it must have made pairs,
+  // The refill ran for the whole consumer phase; it must have made pairs,
   // and every win probability lies in [0.75, 1].
   EXPECT_GT(s.pairs_generated, 0u);
   EXPECT_GE(s.win_sum, 0.75 * static_cast<double>(s.requests) - 1e-6);
@@ -92,18 +105,6 @@ TEST(LiveBrokerConcurrency, AdmissionControlUnderContention) {
   // Every request was either admitted or counted rejected.
   EXPECT_EQ(admitted.load() + broker.stats().rejected,
             static_cast<std::uint64_t>(kThreads) * kRounds * 8);
-}
-
-TEST(LiveBrokerConcurrency, ProducerStartStopIsIdempotent) {
-  LiveBroker broker(concurrent_config(), /*seed=*/2);
-  broker.start_producer(std::chrono::microseconds(200));
-  broker.start_producer(std::chrono::microseconds(200));  // no-op
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  broker.stop_producer();
-  broker.stop_producer();  // no-op
-  const LiveBrokerStats s = broker.stats();
-  EXPECT_GT(s.pairs_generated, 0u);
-  EXPECT_TRUE(s.conservation_holds());
 }
 
 }  // namespace

@@ -104,7 +104,6 @@ TEST(ObsNoop, ProfilerTwinIsInert) {
   EXPECT_EQ(p.dropped(), 0u);
   EXPECT_TRUE(p.samples().empty());
   EXPECT_TRUE(p.folded().empty());
-  EXPECT_TRUE(p.speedscope("x").empty());
   EXPECT_EQ(noop::set_profile_stage("stage"), nullptr);
   EXPECT_EQ(noop::profile_stage(), nullptr);
   { noop::ProfileStage tag("scoped"); }

@@ -1,5 +1,5 @@
-// Sampling profiler: deterministic exporters over synthetic samples
-// (golden folded/speedscope output with an injected symbolizer), live
+// Sampling profiler: the deterministic exporter over synthetic samples
+// (golden folded output with an injected symbolizer), live
 // SIGPROF sampling against a CPU-burning loop, the one-session-at-a-time
 // guard, and real-symbol resolution through the own-ELF symbolizer. The
 // real::Profiler twin is always compiled, so everything here runs under
@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "obs/spanctx.hpp"
 
 namespace {
@@ -24,7 +23,6 @@ namespace {
 using ftl::obs::fold_profile;
 using ftl::obs::ProfilerOptions;
 using ftl::obs::ProfileSample;
-using ftl::obs::speedscope_profile;
 using ftl::obs::SymbolizeFn;
 
 /// Deterministic fake symbolizer: f<decimal addr>.
@@ -81,56 +79,6 @@ TEST(FoldProfile, SanitizesFrameSeparators) {
   };
   std::vector<ProfileSample> samples = {sample(nullptr, {0x1})};
   EXPECT_EQ(fold_profile(samples, hostile), "operator:new line 1\n");
-}
-
-TEST(SpeedscopeProfile, WellFormedAndWeightsSumToSamples) {
-  std::vector<ProfileSample> samples = {
-      sample(nullptr, {0x30, 0x20, 0x10}),
-      sample(nullptr, {0x30, 0x20, 0x10}),
-      sample("decide", {0x31, 0x21, 0x11}),
-  };
-  const std::string doc =
-      speedscope_profile(samples, fake_symbolize, "unit_test");
-  const std::optional<ftl::obs::json::Value> parsed = ftl::obs::json::parse(doc);
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_TRUE(parsed->is_object());
-
-  const ftl::obs::json::Value* schema = parsed->find("$schema");
-  ASSERT_NE(schema, nullptr);
-  EXPECT_EQ(schema->string,
-            "https://www.speedscope.app/file-format-schema.json");
-
-  const ftl::obs::json::Value* shared = parsed->find("shared");
-  ASSERT_NE(shared, nullptr);
-  const ftl::obs::json::Value* frames = shared->find("frames");
-  ASSERT_NE(frames, nullptr);
-  ASSERT_TRUE(frames->is_array());
-  // 3 frames per stack x 2 distinct stacks + the stage frame, deduped.
-  EXPECT_EQ(frames->array.size(), 7u);
-
-  const ftl::obs::json::Value* profiles = parsed->find("profiles");
-  ASSERT_NE(profiles, nullptr);
-  ASSERT_TRUE(profiles->is_array());
-  ASSERT_EQ(profiles->array.size(), 1u);
-  const ftl::obs::json::Value& prof = profiles->array[0];
-  EXPECT_EQ(prof.find("type")->string, "sampled");
-  const ftl::obs::json::Value* weights = prof.find("weights");
-  ASSERT_NE(weights, nullptr);
-  double total = 0;
-  for (const auto& w : weights->array) total += w.number;
-  EXPECT_EQ(total, 3.0);
-  EXPECT_EQ(prof.find("endValue")->number, 3.0);
-  // Every sample's frame indices must be valid.
-  const ftl::obs::json::Value* sample_arr = prof.find("samples");
-  ASSERT_NE(sample_arr, nullptr);
-  EXPECT_EQ(sample_arr->array.size(), weights->array.size());
-  for (const auto& stack : sample_arr->array) {
-    ASSERT_TRUE(stack.is_array());
-    for (const auto& idx : stack.array) {
-      EXPECT_GE(idx.number, 0.0);
-      EXPECT_LT(idx.number, static_cast<double>(frames->array.size()));
-    }
-  }
 }
 
 TEST(SymbolizePc, ResolvesOwnBinarySymbolsAndFallsBackToHex) {
@@ -208,10 +156,6 @@ TEST(ProfilerLive, CapturesSamplesWhileBurningCpu) {
   // The burn loop ran under a stage tag on the only busy thread, so the
   // bulk of the weight must carry it.
   EXPECT_TRUE(saw_stage) << folded;
-
-  // speedscope export of the live profile parses as JSON.
-  const std::string doc = p.speedscope("live");
-  EXPECT_TRUE(ftl::obs::json::parse(doc).has_value());
 }
 
 TEST(ProfilerLive, SingleSessionGuardAndRestart) {

@@ -30,10 +30,10 @@
 //       is given).
 //
 //   ftlbench profile <bench> --bench-dir=<dir> [--out=<path>] [--hz=99]
-//                [--seed=N] [--format=folded|speedscope] [--top=15]
-//       Runs one bench binary under the in-process sampling profiler and
-//       writes the profile (default `<bench>.folded`). For folded output,
-//       prints the top-N frames by self weight.
+//                [--seed=N] [--top=15]
+//       Runs one bench binary under the in-process sampling profiler,
+//       writes its folded stacks (default `<bench>.folded`), and prints
+//       the top-N frames by self weight.
 //
 //   ftlbench profile-diff <baseline.folded> <candidate.folded> [--top=20]
 //                [--gate-pp=<points>]
@@ -82,8 +82,7 @@ int usage(std::ostream& out) {
          "  ftlbench trace-merge <client_trace.json> <server_trace.json>\n"
          "               [--out=merged.json] [--summary-out=summary.json]\n"
          "  ftlbench profile <bench> --bench-dir=<dir> [--out=<path>]\n"
-         "               [--hz=99] [--seed=N] [--format=folded|speedscope]\n"
-         "               [--top=15]\n"
+         "               [--hz=99] [--seed=N] [--top=15]\n"
          "  ftlbench profile-diff <baseline.folded> <candidate.folded>\n"
          "               [--top=20] [--gate-pp=<points>]\n";
   return 2;
@@ -313,21 +312,12 @@ int cmd_profile(const util::Args& args) {
     return 2;
   }
   config.hz = static_cast<int>(args.get("hz", 99LL));
-  config.format = args.get("format", std::string("folded"));
-  if (config.format != "folded" && config.format != "speedscope") {
-    std::cerr << "ftlbench profile: unknown --format '" << config.format
-              << "'\n";
-    return 2;
-  }
   if (args.has("seed")) {
     config.has_seed = true;
     config.seed =
         static_cast<std::uint64_t>(args.get("seed", 42LL));
   }
-  const std::string default_out =
-      config.bench +
-      (config.format == "folded" ? ".folded" : ".speedscope.json");
-  config.out_path = args.get("out", default_out);
+  config.out_path = args.get("out", config.bench + ".folded");
   config.log_path = "." + config.bench + ".profile.log.tmp";
 
   std::string error;
@@ -335,9 +325,8 @@ int cmd_profile(const util::Args& args) {
     std::cerr << "ftlbench profile: " << error << "\n";
     return 2;
   }
-  std::cout << "profile (" << config.format << ", " << config.hz
-            << " Hz) written to " << config.out_path << "\n";
-  if (config.format != "folded") return 0;
+  std::cout << "profile (folded, " << config.hz << " Hz) written to "
+            << config.out_path << "\n";
 
   // Top frames by self weight: the flamegraph's widest leaves, as text.
   const std::optional<std::string> text = slurp(config.out_path);

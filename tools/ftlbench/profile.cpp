@@ -155,7 +155,6 @@ bool run_bench_profiled(const ProfiledRunConfig& config, std::string& error) {
   std::string cmd = shell_quote(binary.string());
   cmd += " --profile-out=" + shell_quote(config.out_path);
   cmd += " --profile-hz " + std::to_string(config.hz);
-  cmd += " --profile-format=" + shell_quote(config.format);
   if (config.has_seed) cmd += " --seed " + std::to_string(config.seed);
   if (!config.log_path.empty())
     cmd += " >" + shell_quote(config.log_path) + " 2>&1";

@@ -66,7 +66,6 @@ struct ProfiledRunConfig {
   std::string bench;            ///< binary name, e.g. "bench_fig4_load_balancing"
   std::string out_path;         ///< --profile-out target
   int hz = 99;                  ///< --profile-hz
-  std::string format = "folded";  ///< --profile-format
   bool has_seed = false;        ///< pass --seed?
   std::uint64_t seed = 42;
   std::string log_path;         ///< child stdout/stderr (empty = inherit)

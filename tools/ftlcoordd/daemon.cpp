@@ -12,6 +12,7 @@
 
 #include "ftlcoordd/net.hpp"
 #include "ftlcoordd/protocol.hpp"
+#include "ftlcoordd/serve.hpp"
 #include "obs/export.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -42,8 +43,8 @@ constexpr std::chrono::milliseconds kWindowEpochLen{1000};
 /// span, stages follow at 1 + stage index.
 constexpr std::uint64_t kRootSpanLabel = 0;
 
-/// Refill cadence of the broker's producer thread. decide() resolves every
-/// arrival up to the request time itself, so the producer only keeps
+/// Refill cadence of the daemon's refill thread. decide() resolves every
+/// arrival up to the request time itself, so the refill thread only keeps
 /// eviction and the pair metrics fresh across idle spells.
 constexpr std::chrono::microseconds kProducerPeriod{200};
 
@@ -201,6 +202,8 @@ Daemon::~Daemon() { stop(); }
 bool Daemon::start() {
   if (running_.load()) return true;
   broker_ = std::make_unique<qnet::LiveBroker>(cfg_.broker, cfg_.seed);
+  // The serving clock's origin, set before any thread that reads it starts.
+  t0_ = Clock::now();
   listen_fd_ = listen_tcp(cfg_.port);
   metrics_listen_fd_ = listen_tcp(cfg_.metrics_port);
   if (listen_fd_ < 0 || metrics_listen_fd_ < 0) {
@@ -214,7 +217,7 @@ bool Daemon::start() {
   metrics_port_ = bound_port(metrics_listen_fd_);
   stopping_.store(false);
   running_.store(true);
-  broker_->start_producer(kProducerPeriod);
+  refill_ = std::thread([this] { refill_loop(); });
   acceptor_ = std::thread([this] { accept_loop(); });
   metrics_acceptor_ = std::thread([this] { metrics_loop(); });
   return true;
@@ -242,10 +245,24 @@ void Daemon::stop() {
   for (std::thread& h : handlers) {
     if (h.joinable()) h.join();
   }
-  broker_->stop_producer();
+  if (refill_.joinable()) refill_.join();
   // Final window flush so a run report written right after stop() carries
   // the last live percentiles instead of stale gauges.
   flush_stage_windows();
+}
+
+double Daemon::now_s() const {
+  return std::chrono::duration<double>(Clock::now() - t0_).count();
+}
+
+void Daemon::refill_loop() {
+  while (!stopping_.load()) {
+    const double now = now_s();
+    for (std::size_t i = 0; i < cfg_.broker.sources; ++i) {
+      broker_->produce_until(i, now);
+    }
+    std::this_thread::sleep_for(kProducerPeriod);
+  }
 }
 
 void Daemon::flush_stage_windows() {
@@ -395,44 +412,21 @@ void Daemon::serve_profile_once(int fd, std::string_view query) {
   send_http(fd, "200 OK", "text/plain; charset=utf-8", body, false);
 }
 
-bool Daemon::handle_decide(int fd, DecideRequestV2& req,
+bool Daemon::handle_decide(int fd, const DecideRequestV2& req,
                            Clock::time_point t_loop,
                            Clock::time_point t_read,
                            std::vector<DecisionEntry>& entries,
                            std::vector<qnet::LiveBroker::Decision>& decisions) {
-  const std::size_t n = req.inputs.size();
-  if (n == 0 || !broker_->try_admit(n)) {
-    // Bounded-queue backpressure: refuse the whole batch; the client
-    // retries after backing off (or sheds load).
+  const auto [admitted, t_admit, t_acquire, t_decide] = serve_decide(
+      *broker_, req, [this] { return now_s(); }, entries, decisions);
+  if (!admitted) {
+    // The client retries after backing off (or sheds load).
     return write_frame(fd, encode_status_response(Status::kRejected));
   }
-  const auto t_admit = Clock::now();
-
-  // Profiler stage tags track the same boundaries the stage histograms
-  // time, so folded profile weight under `stage:pair_acquire;...` joins
-  // against the coordd.stage_us attribution.
-  obs::set_profile_stage(stage_name(Stage::kPairAcquire));
-  decisions.clear();
-  decisions.reserve(n);
-  for (const std::uint8_t input : req.inputs) {
-    decisions.push_back(broker_->decide_now(req.source, input));
-  }
-  broker_->release(n);
-  const auto t_acquire = Clock::now();
-
-  obs::set_profile_stage(stage_name(Stage::kDecide));
-  entries.clear();
-  entries.reserve(n);
-  for (const auto& d : decisions) {
-    DecisionEntry e;
-    if (d.output != 0) e.flags |= DecisionEntry::kOutputBit;
-    if (d.quantum) e.flags |= DecisionEntry::kQuantumBit;
-    if (d.round_won) e.flags |= DecisionEntry::kRoundWonBit;
-    e.win_q = static_cast<std::uint16_t>(
-        std::min(65535.0, d.win_probability * 65535.0 + 0.5));
-    entries.push_back(e);
-  }
-  const auto t_decide = Clock::now();
+  const std::size_t n = req.inputs.size();
+  // Deadline evaluation falls inside the reply-write stage's time span,
+  // so the profile tag follows it there.
+  obs::set_profile_stage(stage_name(Stage::kReplyWrite));
 
   // Deadline attribution: the budget runs from the client's send
   // timestamp (same steady clock — localhost only); the miss belongs to
@@ -462,7 +456,6 @@ bool Daemon::handle_decide(int fd, DecideRequestV2& req,
     }
   }
 
-  obs::set_profile_stage(stage_name(Stage::kReplyWrite));
   const bool write_ok = write_frame(fd, encode_decide_response(entries));
   const auto t_write = Clock::now();
   obs::set_profile_stage(nullptr);

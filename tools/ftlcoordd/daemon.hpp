@@ -1,23 +1,26 @@
 // ftlcoordd: the long-running coordination daemon.
 //
 // Serves the decide protocol (protocol.hpp) on a loopback TCP port,
-// backed by a concurrent qnet::LiveBroker whose producer thread refills the
-// per-source pair pools continuously. A second loopback port speaks just
-// enough HTTP for two resources: GET/HEAD /metrics answers with the
-// Prometheus text exposition of the live metrics registry (src/obs/export),
-// and GET /profile?seconds=N&hz=H runs the in-process sampling CPU profiler
-// for N seconds and answers with FlameGraph folded stacks (one profile
-// session at a time; 409 when busy, 501 when built with
-// FTL_OBS_ENABLED=OFF). Unknown paths get 404, malformed request lines 400,
-// other methods 405 — so `curl :<metrics_port>/metrics` works against a
-// running daemon exactly like a node exporter.
+// backed by a concurrent qnet::LiveBroker. The daemon owns the serving
+// clock (seconds since start()) and one refill thread that advances every
+// source's pair pool to that clock every 200 us; each decide frame goes
+// through serve_decide (serve.hpp), the decide path that bench_ftlcoordd
+// and the tests call too. A second loopback port speaks just enough HTTP
+// for two resources: GET/HEAD /metrics answers with the Prometheus text
+// exposition of the live metrics registry (src/obs/export), and GET
+// /profile?seconds=N&hz=H runs the in-process sampling CPU profiler for N
+// seconds and answers with FlameGraph folded stacks (one profile session
+// at a time; 409 when busy, 501 when built with FTL_OBS_ENABLED=OFF).
+// Unknown paths get 404, malformed request lines 400, other methods 405 —
+// so `curl :<metrics_port>/metrics` works against a running daemon
+// exactly like a node exporter.
 //
-// Threading model: one acceptor per port plus one handler thread per
-// connection. Clients batch decisions per frame, so connection counts stay
-// small (the loadgen uses one connection per worker thread) and the
-// thread-per-connection model keeps the hot path free of any cross-
-// connection queue; backpressure is enforced by the broker's admission
-// bound, not by socket buffering.
+// Threading model: one acceptor per port, one handler thread per
+// connection, and the refill thread. Clients batch decisions per frame, so
+// connection counts stay small (the loadgen uses one connection per worker
+// thread) and the thread-per-connection model keeps the hot path free of
+// any cross-connection queue; backpressure is enforced by the broker's
+// admission bound, not by socket buffering.
 #pragma once
 
 #include <atomic>
@@ -44,8 +47,8 @@ enum class Stage : std::uint8_t {
   kSocketRead = 0,   ///< blocked in read_frame (wire + socket wait)
   kAdmission = 1,    ///< decode + admission control
   kPairAcquire = 2,  ///< broker decisions (pair acquire or fallback)
-  kDecide = 3,       ///< reply packing + deadline evaluation
-  kReplyWrite = 4,   ///< frame write back to the client
+  kDecide = 3,       ///< reply packing
+  kReplyWrite = 4,   ///< deadline evaluation + frame write to the client
 };
 inline constexpr std::size_t kNumStages = 5;
 [[nodiscard]] const char* stage_name(Stage s) noexcept;
@@ -67,12 +70,13 @@ class Daemon {
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
 
-  /// Binds both ports, starts the producer and acceptor threads. False
-  /// when a port cannot be bound (daemon left stopped).
+  /// Binds both ports, sets the clock's origin, and starts the refill and
+  /// acceptor threads. False when a port cannot be bound (daemon left
+  /// stopped).
   [[nodiscard]] bool start();
 
-  /// Stops acceptors, shuts down live connections, joins every thread,
-  /// and stops the producer. Idempotent.
+  /// Stops acceptors, shuts down live connections, and joins every
+  /// thread, the refill thread last. Idempotent.
   void stop();
 
   [[nodiscard]] bool running() const { return running_.load(); }
@@ -82,15 +86,19 @@ class Daemon {
   [[nodiscard]] qnet::LiveBroker& broker() { return *broker_; }
 
  private:
+  /// Seconds on the serving clock since start().
+  [[nodiscard]] double now_s() const;
+  /// Every kProducerPeriod, advances every source's pool to now_s().
+  void refill_loop();
   void accept_loop();
   void metrics_loop();
   void handle_connection(int fd);
-  /// Runs one decide batch through the staged pipeline (admission → pair
-  /// acquire → decide → reply write), timing each stage, attributing any
-  /// deadline miss, and recording stage spans for a traced batch.
+  /// Serves one decide batch (serve_decide at now_s()), then sets the
+  /// deadline bits, writes the reply, and records the stage histograms,
+  /// deadline counters, latency and, for a traced batch, stage spans.
   /// `t_loop`/`t_read` bracket the socket-read stage. False when the
   /// connection died.
-  bool handle_decide(int fd, DecideRequestV2& req,
+  bool handle_decide(int fd, const DecideRequestV2& req,
                      std::chrono::steady_clock::time_point t_loop,
                      std::chrono::steady_clock::time_point t_read,
                      std::vector<DecisionEntry>& entries,
@@ -116,11 +124,13 @@ class Daemon {
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
+  std::chrono::steady_clock::time_point t0_;  // serving clock origin
   int listen_fd_ = -1;
   int metrics_listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::uint16_t metrics_port_ = 0;
 
+  std::thread refill_;
   std::thread acceptor_;
   std::thread metrics_acceptor_;
   std::mutex conns_mu_;

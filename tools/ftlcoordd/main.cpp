@@ -1,5 +1,7 @@
 // ftlcoordd entry point: parse flags, start the daemon, run until a signal
-// (or --duration elapses), then write the run report and exit.
+// (or --duration elapses), then write the run report and exit. A flag
+// value out of its range prints the usage line and exits 2.
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -16,6 +18,7 @@
 #include "obs/export.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "qnet/pair_pool.hpp"
 #include "util/args.hpp"
 
 namespace {
@@ -46,8 +49,30 @@ void print_usage(const char* prog) {
                "  --snapshot-out PATH    append ftl.obs.snapshot/v1 JSONL while serving\n"
                "  --snapshot-every-ms MS snapshot cadence (default 1000; needs --snapshot-out)\n"
                "  --trace-out PATH       write a Chrome/Perfetto trace JSON on exit;\n"
-               "                         stage spans for every frame the client traced\n",
+               "                         stage spans for every frame the client traced\n"
+               "Ports are 0-65535; sources, slots and max-pending at least 1; the pair\n"
+               "rate, T1 and T2 positive with T2 <= 2*T1; fiber km at least 0; and the\n"
+               "visibility must leave a quantum advantage. Anything else exits 2.\n",
                prog);
+}
+
+/// True when every value is in the range the daemon can serve with: the
+/// library asserts on the rest, or silently serves something else.
+bool valid_config(long long port, long long metrics_port,
+                  const ftl::coordd::DaemonConfig& cfg) {
+  const auto in_port_range = [](long long p) { return p >= 0 && p <= 65535; };
+  const ftl::qnet::QnetConfig& q = cfg.broker.qnet;
+  for (const double v : {q.pair_rate_hz, q.fiber_km, q.source_visibility,
+                         q.memory_t1_s, q.memory_t2_s, q.max_storage_s}) {
+    if (!std::isfinite(v)) return false;
+  }
+  return in_port_range(port) && in_port_range(metrics_port) &&
+         cfg.broker.sources >= 1 && q.memory_slots >= 1 &&
+         cfg.broker.max_pending >= 1 && q.pair_rate_hz > 0.0 &&
+         q.fiber_km >= 0.0 && q.memory_t1_s > 0.0 && q.memory_t2_s > 0.0 &&
+         q.memory_t2_s <= 2.0 * q.memory_t1_s && q.source_visibility >= 0.0 &&
+         q.source_visibility <= 1.0 &&
+         ftl::qnet::storage_limit_s(q, q.source_visibility) > 0.0;
 }
 
 }  // namespace
@@ -60,9 +85,8 @@ int main(int argc, char** argv) {
   }
 
   ftl::coordd::DaemonConfig cfg;
-  cfg.port = static_cast<std::uint16_t>(args.get("port", 7400LL));
-  cfg.metrics_port =
-      static_cast<std::uint16_t>(args.get("metrics-port", 7401LL));
+  const long long port = args.get("port", 7400LL);
+  const long long metrics_port = args.get("metrics-port", 7401LL);
   cfg.seed = static_cast<std::uint64_t>(args.get("seed", 42LL));
   cfg.broker.sources = args.get("sources", std::size_t{1});
   cfg.broker.qnet.memory_slots =
@@ -74,6 +98,12 @@ int main(int argc, char** argv) {
   cfg.broker.qnet.memory_t1_s = args.get("t1-us", 500.0) * 1e-6;
   cfg.broker.qnet.memory_t2_s = args.get("t2-us", 100.0) * 1e-6;
   cfg.broker.qnet.max_storage_s = args.get("max-storage-us", 200.0) * 1e-6;
+  if (!valid_config(port, metrics_port, cfg)) {
+    print_usage(args.program().c_str());
+    return 2;
+  }
+  cfg.port = static_cast<std::uint16_t>(port);
+  cfg.metrics_port = static_cast<std::uint16_t>(metrics_port);
   const double duration_s = args.get("duration", 0.0);
   const std::string trace_out = args.get("trace-out", std::string());
   if (!trace_out.empty()) ftl::obs::tracer().start();
